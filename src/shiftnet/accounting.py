@@ -21,9 +21,22 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 
-from .blocks import LayerCost
-
 CONVENTIONS = ("macs", "flops_2x")
+
+
+@dataclass
+class LayerCost:
+    """Architecture-only cost of one layer: parameter and multiply-accumulate counts."""
+
+    name: str
+    kind: str          # conv | depthwise | pointwise | shift | bn | fc
+    params: int
+    macs: int
+    in_channels: int
+    out_channels: int
+    feature_size: int  # output spatial side
+    kernel_size: int
+    note: str = ""
 
 
 @dataclass

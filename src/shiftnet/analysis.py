@@ -22,7 +22,7 @@ import numpy as np
 from .blocks import CscBlock
 from .nets import Network
 from .pipeline import Dataset
-from .shift import ShiftSpec, group_index, window_directions
+from .shift import ShiftSpec, group_index
 
 
 @dataclass
@@ -53,23 +53,37 @@ def find_csc_block(net: Network, module_id: str) -> CscBlock:
 
 def record_activations(net: Network, dataset: Dataset, module_id: str,
                        max_images: int = 256, batch_size: int = 64) -> ActivationTrace:
-    """Run eval-mode forwards and capture the module's post-shift activations."""
+    """Run eval-mode forwards and capture the module's post-shift activations.
+
+    The block's shift layer is wrapped for the duration of the recording and
+    its own `forward` is put back afterwards, even if a forward raises.
+    """
     block = find_csc_block(net, module_id)
     n = min(len(dataset), max_images)
     if n == 0:
         raise ValueError("empty dataset")
     chunks = []
-    block.collect_post_shift = True
+    shift = block.shift
+    forward = shift.forward
+    # a wrapper already set on the instance (a tracer's) is put back as found
+    patched = vars(shift).get("forward")
+
+    def capture(x, mode="train"):
+        out = forward(x, mode)                        # (b, mid, h, w)
+        chunks.append(out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1]))
+        return out
+
+    shift.forward = capture
     try:
         for start in range(0, n, batch_size):
             idx = np.arange(start, min(start + batch_size, n))
             x, _ = dataset.batch(idx)
             net.forward(x, "eval")
-            act = block.last_post_shift               # (b, mid, h, w)
-            chunks.append(act.transpose(0, 2, 3, 1).reshape(-1, act.shape[1]))
     finally:
-        block.collect_post_shift = False
-        block.last_post_shift = None
+        if patched is None:
+            del shift.forward
+        else:
+            shift.forward = patched
     samples = np.concatenate(chunks, axis=0)
     return ActivationTrace(module_id, samples, group_index(block.spec), block.spec)
 
@@ -144,8 +158,3 @@ def contributions_to_csv(weights: np.ndarray, spec: ShiftSpec) -> str:
         lines.append(f"{m},{gidx[m]},{dy},{dx},{v[m]:.8g}")
     return "\n".join(lines) + "\n"
 
-
-def group_directions_labeled(spec: ShiftSpec) -> list[tuple[int, int, int]]:
-    """(group id, dy, dx) in group order, dilation applied."""
-    return [(g, dy * spec.dilation, dx * spec.dilation)
-            for g, (dy, dx) in enumerate(window_directions(spec.kernel_size))]

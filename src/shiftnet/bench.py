@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import memory_access_words
+from .nets import parse_sections
 from .ops import ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial
 from .shift import (fused_shift_pointwise, make_shift_spec, shift_forward,
                     unfused_shift_pointwise)
@@ -88,22 +89,8 @@ def default_suite() -> list[BenchCase]:
 
 def parse_suite(text: str) -> list[BenchCase]:
     """Parse a key=value sectioned suite file into benchmark cases."""
-    cases = []
-    current = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = {}
-            cases.append(current)
-            continue
-        if current is None or "=" not in line:
-            raise ValueError(f"suite line outside a section: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        current[key] = val
     out = []
-    for body in cases:
+    for _, body in parse_sections(text):
         kind = body.pop("kind")
         kwargs = {k: int(v) for k, v in body.items()}
         out.append(BenchCase(kind, **kwargs))
@@ -137,21 +124,24 @@ def _time_callable(fn, reps: int, warmup: int) -> tuple[float, float, float]:
             float(np.percentile(samples, 90)))
 
 
-def _model(kind_key: str, m: int, n: int, f: int, k: int):
-    """(words moved, multiply-accumulates) for one variant."""
+def _model(kind_key: str, m: int, n: int, f: int, k: int, s: int):
+    """(words moved, multiply-accumulates) for one variant.
+
+    Convolutions are sized at their output side ceil(f / s); the depthwise
+    and shift stages before a strided 1x1 run at the input side f.
+    """
+    fo = (f + s - 1) // s
+    pointwise = memory_access_words("pointwise", m, n, fo, 1), m * n * fo * fo
     if kind_key == "spatial":
-        return memory_access_words("conv", m, n, f, k), m * n * f * f * k * k
+        return memory_access_words("conv", m, n, fo, k), m * n * fo * fo * k * k
     if kind_key == "depthwise_pointwise":
-        return (memory_access_words("depthwise", m, n, f, k)
-                + memory_access_words("pointwise", m, n, f, 1),
-                m * f * f * k * k + m * n * f * f)
+        return (memory_access_words("depthwise", m, n, f, k) + pointwise[0],
+                m * f * f * k * k + pointwise[1])
     if kind_key == "shift_pointwise_unfused":
-        return (memory_access_words("shift", m, n, f, k)
-                + memory_access_words("pointwise", m, n, f, 1),
-                m * n * f * f)
+        return memory_access_words("shift", m, n, f, k) + pointwise[0], pointwise[1]
     if kind_key == "shift_pointwise_fused":
         # the shifted intermediate never exists; only the 1x1's traffic remains
-        return memory_access_words("pointwise", m, n, f, 1), m * n * f * f
+        return pointwise
     if kind_key == "shift":
         return memory_access_words("shift", m, n, f, k), 0
     raise ValueError(kind_key)
@@ -169,7 +159,7 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
 
     def add(variant_key, variant_name, fn):
         med, p10, p90 = _time_callable(fn, case.reps, case.warmup)
-        words, flops = _model(variant_key, m, n, f, k)
+        words, flops = _model(variant_key, m, n, f, k, case.stride)
         rows.append(BenchRow(case.kind, case.dims, variant_name,
                              med, p10, p90, words, flops))
 

@@ -1,10 +1,23 @@
 """Trainable layers and composite blocks.
 
-Atomic layers (convolutions, batch norm, ReLU, pools, linear) hold their
-parameters and cache the last forward inputs for the matching backward call.
-Composite blocks assemble them into the shift-based conv-shift-conv module
-(optionally with a leading extra shift for a wider receptive field) and the
-plain two-conv residual block used as the baseline it replaces.
+Every layer speaks one protocol: forward(x, mode), backward(dout), params(),
+state_arrays() and cost_entries(name, in_shape).
+
+* Atomic layers (convolutions, shift, batch norm, ReLU, pools, linear)
+  subclass `Layer`. Each declares only its own parameters (`param_names`)
+  and at most one cost entry, and caches the last forward inputs for the
+  matching backward call.
+* Composites (`StemConv`, `CscBlock`, `BasicBlock`, and `nets.Network` over
+  its layer list) subclass `Composite` and list their children in order:
+  children order is forward order. The generic walk then supplies params,
+  state and cost entries (named `<child>.<name>`, in children order) and
+  runs forward through the children and backward through them reversed.
+  Blocks add only their parameter-free shortcut on top of that path.
+  Children are plain attributes, so instrumentation can find and wrap them.
+
+The composites are the shift-based conv-shift-conv module (optionally with a
+leading extra shift for a wider receptive field) and the plain two-conv
+residual block used as the baseline it replaces.
 
 Downsampling (stride 2) is parameter-free on the shortcut. Two variants
 exist, selected per block:
@@ -27,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .accounting import LayerCost
 from .ops import BatchNormState, ConvKernel
 from .shift import ShiftSpec, make_shift_spec, shift_backward, shift_forward
 from .tensor import REAL, InitPolicy, create
@@ -64,21 +78,6 @@ class Param:
         return self.value.size
 
 
-@dataclass
-class LayerCost:
-    """Architecture-only cost of one layer: parameter and multiply-accumulate counts."""
-
-    name: str
-    kind: str          # conv | depthwise | pointwise | shift | bn | fc
-    params: int
-    macs: int
-    in_channels: int
-    out_channels: int
-    feature_size: int  # output spatial side
-    kernel_size: int
-    note: str = ""
-
-
 def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
@@ -99,10 +98,65 @@ def downsample_combine_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ops.avgpool2x2_backward(dout[:, :c] + dout[:, c:], x)
 
 
-class SpatialConv:
+class Layer:
+    """Atomic layer: declares its own parameters and at most one cost entry."""
+
+    param_names: tuple[str, ...] = ()
+
+    def params(self):
+        return [(n, getattr(self, n)) for n in self.param_names]
+
+    def state_arrays(self):
+        return [(n, p.value) for n, p in self.params()]
+
+    def cost_entries(self, name, in_shape):
+        return [], in_shape
+
+
+class Composite:
+    """Layer built from named children that run in `child_names` order.
+
+    The walk below derives parameters, persisted state, cost entries and the
+    sequential forward/backward from the children; subclasses add only what
+    the path does not cover (residual shortcuts, output shape overrides).
+    """
+
+    child_names: tuple[str, ...] = ()
+
+    def children(self):
+        return [(c, getattr(self, c)) for c in self.child_names]
+
+    def forward(self, x, mode="train"):
+        for _, layer in self.children():
+            x = layer.forward(x, mode)
+        return x
+
+    def backward(self, dout):
+        for _, layer in reversed(self.children()):
+            dout = layer.backward(dout)
+        return dout
+
+    def params(self):
+        return [(f"{c}.{n}", p) for c, layer in self.children()
+                for n, p in layer.params()]
+
+    def state_arrays(self):
+        return [(f"{c}.{n}", a) for c, layer in self.children()
+                for n, a in layer.state_arrays()]
+
+    def cost_entries(self, name, in_shape):
+        entries, shape = [], in_shape
+        for c, layer in self.children():
+            es, shape = layer.cost_entries(f"{name}.{c}" if name else c, shape)
+            entries.extend(es)
+        return entries, shape
+
+
+class SpatialConv(Layer):
     """k x k convolution, zero-padded for same-size output at stride 1, no bias."""
 
     kind = "conv"
+    param_names = ("weight",)
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  seed=0, dtype=REAL):
@@ -129,12 +183,6 @@ class SpatialConv:
         self.weight.grad += dw
         return dx
 
-    def params(self):
-        return [("weight", self.weight)]
-
-    def state_arrays(self):
-        return [("weight", self.weight.value)]
-
     def cost_entries(self, name, in_shape):
         c, h, w = in_shape
         ho = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
@@ -147,10 +195,11 @@ class SpatialConv:
         return [entry], (self.out_channels, ho, wo)
 
 
-class PointwiseConv:
+class PointwiseConv(Layer):
     """1x1 convolution mixing channels; the stride subsamples output positions."""
 
     kind = "pointwise"
+    param_names = ("weight",)
 
     def __init__(self, in_channels, out_channels, stride=1, seed=0, dtype=REAL):
         self.in_channels = in_channels
@@ -173,12 +222,6 @@ class PointwiseConv:
         self.weight.grad += dw
         return dx
 
-    def params(self):
-        return [("weight", self.weight)]
-
-    def state_arrays(self):
-        return [("weight", self.weight.value)]
-
     def cost_entries(self, name, in_shape):
         c, h, w = in_shape
         ho = (h + self.stride - 1) // self.stride
@@ -190,7 +233,7 @@ class PointwiseConv:
         return [entry], (self.out_channels, ho, wo)
 
 
-class Shift:
+class Shift(Layer):
     """Parameter-free channel-wise translation layer."""
 
     kind = "shift"
@@ -204,12 +247,6 @@ class Shift:
     def backward(self, dout):
         return shift_backward(dout, self.spec)
 
-    def params(self):
-        return []
-
-    def state_arrays(self):
-        return []
-
     def cost_entries(self, name, in_shape):
         c, h, w = in_shape
         note = ""
@@ -220,10 +257,11 @@ class Shift:
         return [entry], in_shape
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel batch normalization with learnable affine terms."""
 
     kind = "bn"
+    param_names = ("gamma", "beta")
 
     def __init__(self, channels, dtype=REAL):
         self.channels = channels
@@ -242,13 +280,10 @@ class BatchNorm:
         self.beta.grad += dbeta
         return dx
 
-    def params(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     def state_arrays(self):
-        return [("gamma", self.state.gamma), ("beta", self.state.beta),
-                ("running_mean", self.state.running_mean),
-                ("running_var", self.state.running_var)]
+        s = self.state
+        return [("gamma", s.gamma), ("beta", s.beta),
+                ("running_mean", s.running_mean), ("running_var", s.running_var)]
 
     def cost_entries(self, name, in_shape):
         c, h, w = in_shape
@@ -256,7 +291,7 @@ class BatchNorm:
         return [entry], in_shape
 
 
-class ReLU:
+class ReLU(Layer):
     kind = "relu"
 
     def __init__(self):
@@ -269,17 +304,8 @@ class ReLU:
     def backward(self, dout):
         return ops.relu_backward(dout, self._x)
 
-    def params(self):
-        return []
 
-    def state_arrays(self):
-        return []
-
-    def cost_entries(self, name, in_shape):
-        return [], in_shape
-
-
-class GlobalAvgPool:
+class GlobalAvgPool(Layer):
     """Global spatial mean; flattens (b, c, h, w) to (b, c)."""
 
     kind = "pool"
@@ -294,21 +320,15 @@ class GlobalAvgPool:
     def backward(self, dout):
         return ops.global_avgpool_backward(dout, self._x)
 
-    def params(self):
-        return []
-
-    def state_arrays(self):
-        return []
-
     def cost_entries(self, name, in_shape):
-        c, h, w = in_shape
-        return [], (c,)
+        return [], (in_shape[0],)
 
 
-class Linear:
+class Linear(Layer):
     """Fully-connected head with bias."""
 
     kind = "fc"
+    param_names = ("weight", "bias")
 
     def __init__(self, in_features, out_features, seed=0, dtype=REAL):
         self.in_features = in_features
@@ -329,12 +349,6 @@ class Linear:
         self.bias.grad += db
         return dx
 
-    def params(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
-    def state_arrays(self):
-        return [("weight", self.weight.value), ("bias", self.bias.value)]
-
     def cost_entries(self, name, in_shape):
         n_params = self.in_features * self.out_features + self.out_features
         macs = self.in_features * self.out_features
@@ -343,8 +357,10 @@ class Linear:
         return [entry], (self.out_features,)
 
 
-class StemConv:
+class StemConv(Composite):
     """Network stem: spatial convolution followed by batch norm and ReLU."""
+
+    child_names = ("conv", "bn", "relu")
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  seed=0, dtype=REAL):
@@ -352,27 +368,6 @@ class StemConv:
                                 stride, seed, dtype)
         self.bn = BatchNorm(out_channels, dtype)
         self.relu = ReLU()
-
-    def forward(self, x, mode="train"):
-        return self.relu.forward(self.bn.forward(self.conv.forward(x, mode), mode), mode)
-
-    def backward(self, dout):
-        return self.conv.backward(self.bn.backward(self.relu.backward(dout)))
-
-    def params(self):
-        out = [(f"conv.{n}", p) for n, p in self.conv.params()]
-        out += [(f"bn.{n}", p) for n, p in self.bn.params()]
-        return out
-
-    def state_arrays(self):
-        out = [(f"conv.{n}", a) for n, a in self.conv.state_arrays()]
-        out += [(f"bn.{n}", a) for n, a in self.bn.state_arrays()]
-        return out
-
-    def cost_entries(self, name, in_shape):
-        entries, shape = self.conv.cost_entries(f"{name}.conv", in_shape)
-        bn_entries, shape = self.bn.cost_entries(f"{name}.bn", shape)
-        return entries + bn_entries, shape
 
 
 @dataclass(frozen=True)
@@ -431,13 +426,14 @@ class CscConfig:
         return self.stride == 1 or self.out_channels == 2 * self.in_channels
 
 
-class CscBlock:
+class CscBlock(Composite):
     """Conv-shift-conv module: BN-ReLU-1x1, shift, BN-ReLU-1x1(stride), + shortcut.
 
     Both 1x1 convolutions are preceded by batch norm and ReLU; the second one
     carries the block's stride so spatial information is mixed by the shift
     before downsampling. The residual taps the raw input. The "sc2" variant
-    shifts once more at the very start, widening the receptive field.
+    shifts once more at the very start (child `shift0`), widening the
+    receptive field.
     """
 
     def __init__(self, cfg: CscConfig, seeds: SeedStream, dtype=REAL):
@@ -445,10 +441,11 @@ class CscBlock:
         mid = cfg.mid_channels
         self.spec = make_shift_spec(mid, cfg.kernel_size, cfg.dilation,
                                     cfg.permutation_id)
-        self.spec0 = None
+        self.child_names = ("bn1", "relu1", "pw1", "bn2", "relu2", "shift", "pw2")
         if cfg.variant == "sc2":
-            self.spec0 = make_shift_spec(cfg.in_channels, cfg.kernel_size,
-                                         cfg.dilation, cfg.permutation_id)
+            self.shift0 = Shift(make_shift_spec(cfg.in_channels, cfg.kernel_size,
+                                                cfg.dilation, cfg.permutation_id))
+            self.child_names = ("shift0",) + self.child_names
         self.bn1 = BatchNorm(cfg.in_channels, dtype)
         self.relu1 = ReLU()
         self.pw1 = PointwiseConv(cfg.in_channels, mid, 1, seeds.next(), dtype)
@@ -458,22 +455,11 @@ class CscBlock:
         self.pw2 = PointwiseConv(mid, cfg.main_out_channels, cfg.stride,
                                  seeds.next(), dtype)
         self._x = None
-        self.collect_post_shift = False
-        self.last_post_shift = None
 
     def forward(self, x, mode="train"):
         cfg = self.cfg
         self._x = x
-        h = shift_forward(x, self.spec0) if self.spec0 is not None else x
-        h = self.bn1.forward(h, mode)
-        h = self.relu1.forward(h, mode)
-        h = self.pw1.forward(h, mode)
-        h = self.bn2.forward(h, mode)
-        h = self.relu2.forward(h, mode)
-        h = self.shift.forward(h, mode)
-        if self.collect_post_shift:
-            self.last_post_shift = h.copy()
-        main = self.pw2.forward(h, mode)
+        main = super().forward(x, mode)
         if cfg.stride == 1:
             return main + x
         if not cfg.has_shortcut:
@@ -495,54 +481,16 @@ class CscBlock:
             c = cfg.in_channels
             dmain = dout[:, c:]
             dshort = ops.avgpool2x2_backward(dout[:, :c], self._x)
-        d = self.pw2.backward(dmain)
-        d = self.shift.backward(d)
-        d = self.relu2.backward(d)
-        d = self.bn2.backward(d)
-        d = self.pw1.backward(d)
-        d = self.relu1.backward(d)
-        d = self.bn1.backward(d)
-        if self.spec0 is not None:
-            d = shift_backward(d, self.spec0)
+        d = super().backward(dmain)
         return d if dshort is None else d + dshort
 
-    def _sublayers(self):
-        subs = []
-        if self.spec0 is not None:
-            subs.append(("shift0", Shift(self.spec0)))
-        subs.extend([("bn1", self.bn1), ("pw1", self.pw1), ("bn2", self.bn2),
-                     ("shift", self.shift), ("pw2", self.pw2)])
-        return subs
-
-    def params(self):
-        out = []
-        for sub, layer in [("bn1", self.bn1), ("pw1", self.pw1),
-                           ("bn2", self.bn2), ("pw2", self.pw2)]:
-            out.extend((f"{sub}.{n}", p) for n, p in layer.params())
-        return out
-
-    def state_arrays(self):
-        out = []
-        for sub, layer in [("bn1", self.bn1), ("pw1", self.pw1),
-                           ("bn2", self.bn2), ("pw2", self.pw2)]:
-            out.extend((f"{sub}.{n}", a) for n, a in layer.state_arrays())
-        return out
-
     def cost_entries(self, name, in_shape):
-        entries = []
-        shape = in_shape
-        for sub, layer in self._sublayers():
-            es, shape = layer.cost_entries(f"{name}.{sub}", shape)
-            entries.append((layer, es, shape))
-        # pw2 already strided the feature map; shortcut costs nothing
-        flat = [e for _, es, _ in entries for e in es]
-        c, h, w = in_shape
-        ho = (h + self.cfg.stride - 1) // self.cfg.stride
-        wo = (w + self.cfg.stride - 1) // self.cfg.stride
-        return flat, (self.cfg.out_channels, ho, wo)
+        # pw2 already strided the feature map; the shortcut costs nothing
+        entries, (_, ho, wo) = super().cost_entries(name, in_shape)
+        return entries, (self.cfg.out_channels, ho, wo)
 
 
-class BasicBlock:
+class BasicBlock(Composite):
     """Two 3x3 convolutions with batch norm and ReLU, plus a residual connection.
 
     mid_channels narrows the first convolution for the module-wise reduction
@@ -551,6 +499,8 @@ class BasicBlock:
     zero-padded up to the output width (reduced nets round widths so exact
     doubling is not guaranteed).
     """
+
+    child_names = ("conv1", "bn1", "relu1", "conv2", "bn2")
 
     def __init__(self, in_channels, out_channels, stride, seeds: SeedStream,
                  mid_channels=None, dtype=REAL):
@@ -591,40 +541,7 @@ class BasicBlock:
 
     def forward(self, x, mode="train"):
         self._x = x
-        h = self.conv1.forward(x, mode)
-        h = self.bn1.forward(h, mode)
-        h = self.relu1.forward(h, mode)
-        h = self.conv2.forward(h, mode)
-        main = self.bn2.forward(h, mode)
-        return main + self._shortcut(x)
+        return super().forward(x, mode) + self._shortcut(x)
 
     def backward(self, dout):
-        d = self.bn2.backward(dout)
-        d = self.conv2.backward(d)
-        d = self.relu1.backward(d)
-        d = self.bn1.backward(d)
-        d = self.conv1.backward(d)
-        return d + self._shortcut_backward(dout, self._x)
-
-    def params(self):
-        out = []
-        for sub, layer in [("conv1", self.conv1), ("bn1", self.bn1),
-                           ("conv2", self.conv2), ("bn2", self.bn2)]:
-            out.extend((f"{sub}.{n}", p) for n, p in layer.params())
-        return out
-
-    def state_arrays(self):
-        out = []
-        for sub, layer in [("conv1", self.conv1), ("bn1", self.bn1),
-                           ("conv2", self.conv2), ("bn2", self.bn2)]:
-            out.extend((f"{sub}.{n}", a) for n, a in layer.state_arrays())
-        return out
-
-    def cost_entries(self, name, in_shape):
-        entries = []
-        shape = in_shape
-        for sub, layer in [("conv1", self.conv1), ("bn1", self.bn1),
-                           ("conv2", self.conv2), ("bn2", self.bn2)]:
-            es, shape = layer.cost_entries(f"{name}.{sub}", shape)
-            entries.extend(es)
-        return entries, shape
+        return super().backward(dout) + self._shortcut_backward(dout, self._x)

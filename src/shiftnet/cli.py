@@ -54,6 +54,14 @@ def _load_data(spec: str, num_classes: int, seed: int, synth_n: int):
     return pipeline.load_cifar10(spec)
 
 
+def _test_split(args, num_classes: int):
+    """Test split named by --data or the data environment variable (required)."""
+    spec = args.data or os.environ.get(DATA_ENV)
+    if not spec:
+        raise ValueError(f"--data or ${DATA_ENV} required")
+    return _load_data(spec, num_classes, args.seed, args.synth_n)[1]
+
+
 def _cmd_count(args) -> int:
     net = _resolve_arch(args)
     report = accounting.cost_report(net, args.input)
@@ -106,13 +114,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     net, _ = pipeline.load_checkpoint(args.ckpt)
-    data_spec = args.data or os.environ.get(DATA_ENV)
-    if not data_spec:
-        raise ValueError(f"--data or ${DATA_ENV} required")
-    if data_spec == "synth":
-        ds = pipeline.synth_dataset(args.synth_n, net.num_classes, seed=args.seed)
-    else:
-        _, ds = pipeline.load_cifar10(data_spec)
+    ds = _test_split(args, net.num_classes)
     top1, loss = pipeline.evaluate(net, ds, args.batch)
     print(f"top1 {top1:.4f}  loss {loss:.4f}  ({len(ds)} examples)")
     return 0
@@ -137,13 +139,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_analyze(args) -> int:
     net, _ = pipeline.load_checkpoint(args.ckpt)
-    data_spec = args.data or os.environ.get(DATA_ENV)
-    if not data_spec:
-        raise ValueError(f"--data or ${DATA_ENV} required")
-    if data_spec == "synth":
-        ds = pipeline.synth_dataset(args.synth_n, net.num_classes, seed=args.seed)
-    else:
-        _, ds = pipeline.load_cifar10(data_spec)
+    ds = _test_split(args, net.num_classes)
     block = analysis.find_csc_block(net, args.module)
     trace = analysis.record_activations(net, ds, args.module,
                                         max_images=args.max_images)

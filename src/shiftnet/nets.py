@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .blocks import (BasicBlock, CscBlock, CscConfig, GlobalAvgPool, Linear,
-                     SeedStream, StemConv, round_half_up)
+from .accounting import count_params
+from .blocks import (BasicBlock, Composite, CscBlock, CscConfig, GlobalAvgPool,
+                     Linear, SeedStream, Shift, StemConv, round_half_up)
+from .shift import make_shift_spec
 from .tensor import REAL
 
 VALID_DEPTHS = (20, 56, 110)
@@ -50,8 +50,8 @@ class ArchRow:
     mid_channels: int | None = None
 
 
-class Network:
-    """An ordered stack of layers/blocks with a shared forward/backward protocol."""
+class Network(Composite):
+    """An ordered stack of layers/blocks: the composite walk over `layers`."""
 
     def __init__(self, name: str, rows: list[ArchRow], num_classes: int,
                  seed: int = 0, input_channels: int = 3, dtype=REAL):
@@ -70,44 +70,24 @@ class Network:
                                                   counters, seeds, dtype)
                 self.layers.append((lname, layer))
 
-    def forward(self, x: np.ndarray, mode: str = "train") -> np.ndarray:
-        h = x
-        for _, layer in self.layers:
-            h = layer.forward(h, mode)
-        return h
-
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        d = dlogits
-        for _, layer in reversed(self.layers):
-            d = layer.backward(d)
-        return d
+    def children(self):
+        return self.layers
 
     def zero_grads(self):
-        for _, p in self.named_params():
+        for _, p in self.params():
             p.grad[...] = 0
 
-    def named_params(self):
-        return [(f"{lname}.{pname}", p)
-                for lname, layer in self.layers
-                for pname, p in layer.params()]
-
-    def named_state(self):
-        """All persisted arrays: parameters plus batch-norm running statistics."""
-        return [(f"{lname}.{aname}", a)
-                for lname, layer in self.layers
-                for aname, a in layer.state_arrays()]
+    named_params = Composite.params
+    # all persisted arrays: parameters plus batch-norm running statistics
+    named_state = Composite.state_arrays
 
     def named_blocks(self):
         return [(lname, layer) for lname, layer in self.layers
                 if isinstance(layer, (CscBlock, BasicBlock))]
 
     def cost_entries(self, input_size: int = 32):
-        entries = []
         shape = (self.input_channels, input_size, input_size)
-        for lname, layer in self.layers:
-            es, shape = layer.cost_entries(lname, shape)
-            entries.extend(es)
-        return entries
+        return super().cost_entries("", shape)[0]
 
     def config(self) -> dict:
         return {
@@ -140,8 +120,6 @@ def _make_layer(row: ArchRow, width: int, num_classes: int,
                            mid_channels=row.mid_channels, dtype=dtype)
         return f"{row.label}.block{idx}", layer, row.out_channels
     if row.type == "shift":
-        from .blocks import Shift
-        from .shift import make_shift_spec
         spec = make_shift_spec(width, row.kernel, row.dilation)
         return row.label, Shift(spec), width
     if row.type == "pool":
@@ -157,36 +135,31 @@ def _group_size(depth: int) -> int:
     return (depth - 2) // 6
 
 
-def _cifar_skeleton(depth: int, block_rows) -> list[ArchRow]:
-    """Stem + three groups (widths 16/32/64, groups 2 and 3 open with stride 2)."""
+def _cifar_skeleton(depth: int, block, widths=(16, 32, 64)) -> list[ArchRow]:
+    """Stem + three groups; groups 2 and 3 open with a stride-2 block.
+
+    `block(label, width, stride, repeat)` makes one row of the group's blocks.
+    """
     n = _group_size(depth)
-    rows = [ArchRow("stem", "conv", 16, kernel=3, stride=1)]
-    widths = (16, 32, 64)
+    rows = [ArchRow("stem", "conv", widths[0], kernel=3, stride=1)]
     for g, w in enumerate(widths, start=1):
         label = f"group{g}"
-        if g == 1:
-            rows.extend(block_rows(label, w, stride1_repeat=n, opens_with_stride2=False))
-        else:
-            rows.extend(block_rows(label, w, stride1_repeat=n - 1,
-                                   opens_with_stride2=True))
+        if g > 1:
+            rows.append(block(label, w, 2, 1))
+        rows.append(block(label, w, 1, n if g == 1 else n - 1))
     rows.append(ArchRow("pool", "pool"))
     rows.append(ArchRow("fc", "fc"))
     return rows
 
 
+def _basic(label, w, stride, repeat):
+    return ArchRow(label, "basic", w, repeat=repeat, stride=stride)
+
+
 def build_resnet(depth: int, num_classes: int = 10, seed: int = 0,
                  dtype=REAL) -> Network:
     """Plain CIFAR residual network of the given depth."""
-
-    def block_rows(label, w, stride1_repeat, opens_with_stride2):
-        rows = []
-        if opens_with_stride2:
-            rows.append(ArchRow(label, "basic", w, stride=2))
-        if stride1_repeat:
-            rows.append(ArchRow(label, "basic", w, repeat=stride1_repeat))
-        return rows
-
-    return Network(f"resnet{depth}", _cifar_skeleton(depth, block_rows),
+    return Network(f"resnet{depth}", _cifar_skeleton(depth, _basic),
                    num_classes, seed, dtype=dtype)
 
 
@@ -197,19 +170,12 @@ def build_shiftresnet(depth: int, expansion: float, num_classes: int = 10,
     if expansion <= 0:
         raise ValueError("expansion must be positive")
 
-    def block_rows(label, w, stride1_repeat, opens_with_stride2):
-        rows = []
-        if opens_with_stride2:
-            rows.append(ArchRow(label, "csc", w, stride=2, kernel=kernel_size,
-                                expansion=expansion, dilation=dilation))
-        if stride1_repeat:
-            rows.append(ArchRow(label, "csc", w, repeat=stride1_repeat,
-                                kernel=kernel_size, expansion=expansion,
-                                dilation=dilation))
-        return rows
+    def csc(label, w, stride, repeat):
+        return ArchRow(label, "csc", w, repeat=repeat, stride=stride,
+                       kernel=kernel_size, expansion=expansion, dilation=dilation)
 
     name = f"shiftresnet{depth}-{expansion:g}"
-    return Network(name, _cifar_skeleton(depth, block_rows), num_classes, seed,
+    return Network(name, _cifar_skeleton(depth, csc), num_classes, seed,
                    dtype=dtype)
 
 
@@ -271,30 +237,17 @@ def scaled_resnet(depth: int, scale: float, mode: str, num_classes: int = 10,
         raise ValueError(f"unknown reduction mode {mode!r}")
     if not 0 < scale <= 1:
         raise ValueError("scale must be in (0, 1]")
-    n = _group_size(depth)
-    widths = (16, 32, 64)
+
+    def scaled(w):
+        return max(1, round_half_up(scale * w))
+
     if mode == "net_wise":
-        new_widths = tuple(max(1, round_half_up(scale * w)) for w in widths)
-        rows = [ArchRow("stem", "conv", new_widths[0], kernel=3, stride=1)]
-        for g, w in enumerate(new_widths, start=1):
-            label = f"group{g}"
-            if g == 1:
-                rows.append(ArchRow(label, "basic", w, repeat=n))
-            else:
-                rows.append(ArchRow(label, "basic", w, stride=2))
-                rows.append(ArchRow(label, "basic", w, repeat=n - 1))
+        rows = _cifar_skeleton(depth, _basic, tuple(scaled(w) for w in (16, 32, 64)))
     else:
-        rows = [ArchRow("stem", "conv", 16, kernel=3, stride=1)]
-        for g, w in enumerate(widths, start=1):
-            label = f"group{g}"
-            mid = max(1, round_half_up(scale * w))
-            if g == 1:
-                rows.append(ArchRow(label, "basic", w, repeat=n, mid_channels=mid))
-            else:
-                rows.append(ArchRow(label, "basic", w, stride=2, mid_channels=mid))
-                rows.append(ArchRow(label, "basic", w, repeat=n - 1, mid_channels=mid))
-    rows.append(ArchRow("pool", "pool"))
-    rows.append(ArchRow("fc", "fc"))
+        def narrowed(label, w, stride, repeat):
+            return ArchRow(label, "basic", w, repeat=repeat, stride=stride,
+                           mid_channels=scaled(w))
+        rows = _cifar_skeleton(depth, narrowed)
     name = f"resnet{depth}-{mode}-{scale:.4f}"
     return Network(name, rows, num_classes, seed, dtype=dtype)
 
@@ -302,8 +255,6 @@ def scaled_resnet(depth: int, scale: float, mode: str, num_classes: int = 10,
 def reduce_resnet(depth: int, target_params: int, mode: str,
                   num_classes: int = 10, seed: int = 0, dtype=REAL) -> Network:
     """Largest scaled resnet whose parameter count is <= 1.02 * target_params."""
-    from .accounting import count_params
-
     full = count_params(build_resnet(depth, num_classes, seed, dtype))
     if target_params >= full:
         raise ValueError(f"target {target_params} not below the full model's {full}")
@@ -378,25 +329,28 @@ def dump_config(net: Network) -> str:
     return "\n".join(lines)
 
 
-def parse_config(text: str) -> dict:
-    """Parse dump_config output back into a config dict for rebuild()."""
+def parse_sections(text: str) -> list[tuple[str, dict]]:
+    """Split `[header]` sections of `key = value` lines; `#` lines are comments."""
     sections: list[tuple[str, dict]] = []
-    current = None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections.append((line[1:-1], current))
-            continue
-        if current is None or "=" not in line:
-            raise ValueError(f"config line outside a section: {raw!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        current[key] = val
+            sections.append((line[1:-1], {}))
+        elif sections and "=" in line:
+            key, val = (part.strip() for part in line.split("=", 1))
+            sections[-1][1][key] = val
+        else:
+            raise ValueError(f"line outside a key=value section: {raw!r}")
+    return sections
+
+
+def parse_config(text: str) -> dict:
+    """Parse dump_config output back into a config dict for rebuild()."""
     meta = {"name": "custom", "num_classes": 10, "seed": 0, "input_channels": 3}
     rows = []
-    for header, body in sections:
+    for header, body in parse_sections(text):
         if header == "net":
             meta["name"] = body.get("name", meta["name"])
             for key in ("num_classes", "seed", "input_channels"):

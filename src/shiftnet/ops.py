@@ -160,24 +160,23 @@ def conv2d_depthwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKerne
     return dx, dw
 
 
-def conv2d_pointwise(x: np.ndarray, kernel: ConvKernel, stride: int | None = None) -> np.ndarray:
+def conv2d_pointwise(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     """1x1 convolution mixing channels; stride s keeps positions with k,l = 0 mod s."""
     w = kernel.weights
     if w.ndim != 2:
         raise ValueError("pointwise kernels are (in_channels, out_channels) matrices")
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, kernel expects {w.shape[0]}")
-    s = kernel.stride if stride is None else stride
+    s = kernel.stride
     xs = x[:, :, ::s, ::s]
     b, c, ho, wo = xs.shape
     y = np.matmul(w.T, xs.reshape(b, c, ho * wo))   # (n, c) @ (b, c, p) -> (b, n, p)
     return y.reshape(b, w.shape[1], ho, wo)
 
 
-def conv2d_pointwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKernel,
-                              stride: int | None = None):
+def conv2d_pointwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKernel):
     """Gradients (dx, dweights) of conv2d_pointwise."""
-    s = kernel.stride if stride is None else stride
+    s = kernel.stride
     xs = x[:, :, ::s, ::s]
     b, c, ho, wo = xs.shape
     n = kernel.weights.shape[1]
@@ -305,35 +304,3 @@ def softmax_xent_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     d[np.arange(n), labels] -= 1.0
     return d / n
 
-
-def layer_backward(op_tag: str, saved: dict, dout):
-    """Dispatch the backward pass of any op in this module by tag.
-
-    `saved` holds the matching forward call's inputs; returns a dict of
-    gradients keyed by input name.
-    """
-    if op_tag == "conv_spatial":
-        dx, dw = conv2d_spatial_backward(dout, saved["x"], saved["kernel"])
-        return {"dx": dx, "dweights": dw}
-    if op_tag == "conv_depthwise":
-        dx, dw = conv2d_depthwise_backward(dout, saved["x"], saved["kernel"])
-        return {"dx": dx, "dweights": dw}
-    if op_tag == "conv_pointwise":
-        dx, dw = conv2d_pointwise_backward(dout, saved["x"], saved["kernel"],
-                                           saved.get("stride"))
-        return {"dx": dx, "dweights": dw}
-    if op_tag == "batchnorm":
-        dx, dgamma, dbeta = batchnorm_backward(dout, saved["cache"])
-        return {"dx": dx, "dgamma": dgamma, "dbeta": dbeta}
-    if op_tag == "relu":
-        return {"dx": relu_backward(dout, saved["x"])}
-    if op_tag == "avgpool2x2":
-        return {"dx": avgpool2x2_backward(dout, saved["x"])}
-    if op_tag == "global_avgpool":
-        return {"dx": global_avgpool_backward(dout, saved["x"])}
-    if op_tag == "fc":
-        dx, dw, db = fc_backward(dout, saved["x"], saved["weight"])
-        return {"dx": dx, "dweight": dw, "dbias": db}
-    if op_tag == "softmax_xent":
-        return {"dlogits": softmax_xent_backward(saved["probs"], saved["labels"])}
-    raise ValueError(f"unknown op tag {op_tag!r}")

@@ -30,7 +30,6 @@ from .nets import Network, rebuild
 from .tensor import REAL, blob_dump, blob_load
 
 _CIFAR10_RECORD = 3073
-_CIFAR100_RECORD = 3074
 
 
 class TrainingDiverged(RuntimeError):
@@ -72,7 +71,8 @@ class Dataset:
         return x, self.labels[idx].astype(np.int64)
 
 
-def _read_cifar_records(path: str, record: int, label_offset: int):
+def _read_cifar_records(path: str):
+    record = _CIFAR10_RECORD
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) == 0 or len(raw) % record != 0:
@@ -80,8 +80,8 @@ def _read_cifar_records(path: str, record: int, label_offset: int):
                          f"{record}-byte record")
     n = len(raw) // record
     buf = np.frombuffer(raw, dtype=np.uint8).reshape(n, record)
-    labels = buf[:, label_offset].astype(np.int64)
-    pixels = buf[:, record - 3072:].reshape(n, 3, 32, 32)
+    labels = buf[:, 0].astype(np.int64)
+    pixels = buf[:, 1:].reshape(n, 3, 32, 32)
     return pixels, labels
 
 
@@ -106,26 +106,14 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
     test_path = os.path.join(directory, "test_batch.bin")
     if not os.path.exists(test_path):
         raise FileNotFoundError(f"missing test_batch.bin in {directory}")
-    parts = [_read_cifar_records(os.path.join(directory, f), _CIFAR10_RECORD, 0)
-             for f in train_files]
+    parts = [_read_cifar_records(os.path.join(directory, f)) for f in train_files]
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
     mean, std = _standardize_stats(images)
     train = Dataset(images, labels, "train", 10, mean, std)
-    ti, tl = _read_cifar_records(test_path, _CIFAR10_RECORD, 0)
+    ti, tl = _read_cifar_records(test_path)
     test = Dataset(ti, tl, "test", 10, mean, std)
     return train, test
-
-
-def load_cifar100(directory: str) -> tuple[Dataset, Dataset]:
-    """Load CIFAR-100 (train.bin/test.bin, fine labels)."""
-    images, labels = _read_cifar_records(os.path.join(directory, "train.bin"),
-                                         _CIFAR100_RECORD, 1)
-    mean, std = _standardize_stats(images)
-    train = Dataset(images, labels, "train", 100, mean, std)
-    ti, tl = _read_cifar_records(os.path.join(directory, "test.bin"),
-                                 _CIFAR100_RECORD, 1)
-    return train, Dataset(ti, tl, "test", 100, mean, std)
 
 
 def write_cifar10_batches(directory: str, images_u8: np.ndarray,

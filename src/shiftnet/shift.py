@@ -42,10 +42,6 @@ class ShiftSpec:
     permutation_id: int
     displacements: tuple[tuple[int, int], ...]
 
-    @property
-    def group_size(self) -> int:
-        return self.channels // (self.kernel_size ** 2)
-
 
 def window_directions(kernel_size: int) -> list[tuple[int, int]]:
     """Raster-order displacements of the k x k window, center moved to the end."""
@@ -162,14 +158,13 @@ def one_hot_depthwise_kernel(spec: ShiftSpec, dtype=np.float32) -> ConvKernel:
     return ConvKernel(w, stride=1, padding=reach)
 
 
-def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel,
-                          stride: int | None = None) -> np.ndarray:
+def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) -> np.ndarray:
     """Shift followed by 1x1 convolution without materializing the shifted tensor.
 
     For each shift group the 1x1 kernel rows are applied directly to the
     group's channels read at their displaced (and output-strided) source
     coordinates, accumulating into the output. Numerically equal to
-    conv2d_pointwise(shift_forward(x, spec), kernel, stride) up to float
+    conv2d_pointwise(shift_forward(x, spec), kernel) up to float
     accumulation order.
     """
     if x.shape[1] != spec.channels:
@@ -179,7 +174,7 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel,
     if w.shape[0] != spec.channels:
         raise ValueError(f"channel mismatch: kernel expects {w.shape[0]}, "
                          f"spec has {spec.channels}")
-    s = kernel.stride if stride is None else stride
+    s = kernel.stride
     b, _, h, wd = x.shape
     ho = (h + s - 1) // s
     wo = (wd + s - 1) // s
@@ -200,7 +195,6 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel,
     return out
 
 
-def unfused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel,
-                            stride: int | None = None) -> np.ndarray:
+def unfused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) -> np.ndarray:
     """Two-step reference: materialize the shifted tensor, then 1x1 convolve."""
-    return conv2d_pointwise(shift_forward(x, spec), kernel, stride)
+    return conv2d_pointwise(shift_forward(x, spec), kernel)

@@ -1,4 +1,4 @@
-"""Dense NCHW tensors: deterministic initialization, elementwise arithmetic, blob I/O.
+"""Dense NCHW tensors: deterministic initialization and blob I/O.
 
 Arrays are plain numpy ndarrays in (batch, channel, row, column) row-major
 layout, float32 on training paths and float64 when callers need extra
@@ -24,38 +24,25 @@ _BLOB_HEADER = struct.Struct("<4q")
 
 @dataclass(frozen=True)
 class InitPolicy:
-    """Fill rule for new tensors; (kind, seed, shape) fully determine the data."""
+    """Seeded He-normal fill: zero-mean Gaussian with variance 2/fan_in.
 
-    kind: str  # zeros | constant | he_normal | uniform
+    (fan_in, seed, shape) fully determine the data.
+    """
+
+    fan_in: int
     seed: int = 0
-    value: float = 0.0
-    fan_in: int | None = None
-    lo: float = -1.0
-    hi: float = 1.0
-
-    @staticmethod
-    def zeros() -> "InitPolicy":
-        return InitPolicy("zeros")
-
-    @staticmethod
-    def constant(value: float) -> "InitPolicy":
-        return InitPolicy("constant", value=float(value))
 
     @staticmethod
     def he_normal(fan_in: int, seed: int = 0) -> "InitPolicy":
-        """Zero-mean Gaussian with variance 2/fan_in."""
-        return InitPolicy("he_normal", seed=seed, fan_in=int(fan_in))
-
-    @staticmethod
-    def uniform(lo: float, hi: float, seed: int = 0) -> "InitPolicy":
-        return InitPolicy("uniform", seed=seed, lo=float(lo), hi=float(hi))
+        return InitPolicy(int(fan_in), seed)
 
 
 def create(shape: tuple[int, ...], policy: InitPolicy, dtype=REAL) -> np.ndarray:
     """Allocate a tensor of `shape` filled per `policy`.
 
     Deterministic: identical (policy, shape) pairs produce bit-identical
-    tensors. Raises ValueError on negative dimensions or flat-index overflow.
+    tensors. Raises ValueError on negative dimensions, flat-index overflow
+    or a non-positive fan_in.
     """
     shape = tuple(int(d) for d in shape)
     if any(d < 0 for d in shape):
@@ -65,48 +52,11 @@ def create(shape: tuple[int, ...], policy: InitPolicy, dtype=REAL) -> np.ndarray
         n *= d
         if n > _MAX_ELEMS:
             raise ValueError(f"shape {shape} overflows the flat index space")
-    if policy.kind == "zeros":
-        return np.zeros(shape, dtype=dtype)
-    if policy.kind == "constant":
-        return np.full(shape, policy.value, dtype=dtype)
-    if policy.kind == "he_normal":
-        if not policy.fan_in or policy.fan_in <= 0:
-            raise ValueError("he_normal requires a positive fan_in")
-        rng = np.random.default_rng(policy.seed)
-        std = np.sqrt(2.0 / policy.fan_in)
-        return rng.normal(0.0, std, size=shape).astype(dtype)
-    if policy.kind == "uniform":
-        rng = np.random.default_rng(policy.seed)
-        return rng.uniform(policy.lo, policy.hi, size=shape).astype(dtype)
-    raise ValueError(f"unknown init policy kind {policy.kind!r}")
-
-
-def map2(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
-    """Elementwise add/sub/mul of two same-shape tensors."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
-def encode_index(shape: tuple[int, int, int, int], n: int, m: int, i: int, j: int) -> int:
-    """Row-major flat offset of element (n, m, i, j)."""
-    _, c, h, w = shape
-    return ((n * c + m) * h + i) * w + j
-
-
-def decode_index(shape: tuple[int, int, int, int], flat: int) -> tuple[int, int, int, int]:
-    """Inverse of encode_index."""
-    _, c, h, w = shape
-    flat, j = divmod(flat, w)
-    flat, i = divmod(flat, h)
-    n, m = divmod(flat, c)
-    return n, m, i, j
+    if policy.fan_in <= 0:
+        raise ValueError("he_normal requires a positive fan_in")
+    rng = np.random.default_rng(policy.seed)
+    std = np.sqrt(2.0 / policy.fan_in)
+    return rng.normal(0.0, std, size=shape).astype(dtype)
 
 
 def blob_dump(arr: np.ndarray) -> bytes:
@@ -136,10 +86,3 @@ def blob_load(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     arr = np.frombuffer(buf, dtype="<f4", count=count, offset=end).reshape(shape4)
     return arr.astype(np.float32), end + nbytes
 
-
-def first_nonfinite(named: list[tuple[str, np.ndarray]]) -> str | None:
-    """Name of the first array containing NaN/Inf, or None if all finite."""
-    for name, arr in named:
-        if not np.all(np.isfinite(arr)):
-            return name
-    return None

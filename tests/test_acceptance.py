@@ -166,8 +166,8 @@ def _permuted_clone(block, cfg, perm):
     clone.spec = replace(block.spec,
                          displacements=tuple(block.spec.displacements[j] for j in perm))
     clone.shift.spec = clone.spec
-    if block.spec0 is not None:
-        clone.spec0 = block.spec0
+    if cfg.variant == "sc2":
+        clone.shift0.spec = block.shift0.spec
     return clone
 
 

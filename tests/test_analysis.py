@@ -156,13 +156,15 @@ class TestRecording:
 
     def test_trace_shape_and_groups(self, trained):
         net, ds = trained
+        block = dict(net.named_blocks())["group1.block0"]
+        forward = block.shift.forward
         trace = record_activations(net, ds, "group1.block0", max_images=16,
                                    batch_size=8)
         assert trace.samples.shape == (16 * 32 * 32, 16)
         assert len(trace.groups) == 16
-        block = dict(net.named_blocks())["group1.block0"]
-        assert block.collect_post_shift is False
-        assert block.last_post_shift is None
+        # block.shift.forward is restored after recording
+        assert block.shift.forward == forward
+        assert "forward" not in vars(block.shift)
 
     def test_unknown_module(self, trained):
         net, ds = trained

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from shiftnet.bench import (BenchCase, default_suite, parse_suite, run_bench,
@@ -28,6 +30,18 @@ class TestModels:
         by_variant = {r.variant: r for r in rows}
         assert by_variant["fused"].model_words < by_variant["unfused"].model_words
         assert by_variant["fused"].model_flops == by_variant["unfused"].model_flops
+
+    def test_strided_shift_pointwise_hand_values(self):
+        # the default suite's s2 case: 64 -> 64 channels, 32x32 in, 16x16 out
+        case = next(c for c in default_suite() if c.dims == "m64_n64_f32_k3_s2")
+        rows = run_case(replace(case, reps=2, warmup=1), seed=0)
+        by_variant = {r.variant: r for r in rows}
+        pointwise_words = 16 * 16 * (64 + 64) + 64 * 64    # at the strided output
+        for variant in ("fused", "unfused"):
+            assert by_variant[variant].model_flops == 64 * 64 * 16 * 16 == 1_048_576
+        assert by_variant["fused"].model_words == pointwise_words
+        # the shift still moves the whole 32x32 input
+        assert by_variant["unfused"].model_words == 2 * 64 * 32 * 32 + pointwise_words
 
     def test_spatial_flops(self):
         rows = run_case(_quick("spatial", channels=4, out_channels=6, feature=8),

@@ -5,7 +5,7 @@ from gradcheck import fd_gradient, max_rel_error
 from shiftnet import ops
 from shiftnet.ops import (BatchNormState, ConvKernel, batchnorm_backward,
                           batchnorm_forward, conv2d_depthwise,
-                          conv2d_pointwise, conv2d_spatial, layer_backward)
+                          conv2d_pointwise, conv2d_spatial)
 
 
 # --- independently coded loop oracles ------------------------------------
@@ -250,26 +250,11 @@ class TestPoolsAndHead:
         assert np.max(np.abs(grad)) < 1e-8
 
 
-class TestLayerBackwardDispatch:
-    def test_unknown_tag(self):
-        with pytest.raises(ValueError, match="unknown op tag"):
-            layer_backward("conv3d", {}, None)
-
-    def test_relu_positive_region_passes_gradient(self):
+class TestRelu:
+    def test_positive_region_passes_gradient(self):
         x = np.abs(np.random.default_rng(0).normal(size=(2, 3, 4, 4))) + 0.1
         dout = np.random.default_rng(1).normal(size=x.shape)
-        out = layer_backward("relu", {"x": x}, dout)
-        assert np.array_equal(out["dx"], dout)
-
-    def test_dispatch_matches_direct_calls(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(2, 3, 6, 6))
-        k = ConvKernel(rng.normal(size=(3, 3, 3, 4)), 1, 1)
-        dout = rng.normal(size=(2, 4, 6, 6))
-        got = layer_backward("conv_spatial", {"x": x, "kernel": k}, dout)
-        dx, dw = ops.conv2d_spatial_backward(dout, x, k)
-        assert np.array_equal(got["dx"], dx)
-        assert np.array_equal(got["dweights"], dw)
+        assert np.array_equal(ops.relu_backward(dout, x), dout)
 
 
 def _scalar_loss(forward, dout):

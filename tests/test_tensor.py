@@ -1,23 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from shiftnet.tensor import (InitPolicy, blob_dump, blob_load, create,
-                             decode_index, encode_index, map2)
+from shiftnet.tensor import InitPolicy, blob_dump, blob_load, create
 
 
 class TestCreate:
-    def test_zeros(self):
-        t = create((1, 1, 2, 2), InitPolicy.zeros())
-        assert t.shape == (1, 1, 2, 2)
-        assert np.all(t == 0.0)
-
-    def test_constant_fill(self):
-        t = create((1, 3, 4, 4), InitPolicy.constant(1))
-        assert t.size == 48
-        assert np.all(t == 1.0)
-
     def test_he_normal_deterministic(self):
         p = InitPolicy.he_normal(fan_in=16 * 9, seed=7)
         a = create((1, 16, 32, 32), p)
@@ -30,12 +17,6 @@ class TestCreate:
         assert abs(t.std() - np.sqrt(2 / 50)) < 0.01
         assert abs(t.mean()) < 0.01
 
-    def test_uniform_bounds_and_determinism(self):
-        p = InitPolicy.uniform(-0.25, 0.5, seed=3)
-        a = create((1000,), p)
-        assert np.array_equal(a, create((1000,), p))
-        assert a.min() >= -0.25 and a.max() <= 0.5
-
     def test_seed_changes_data(self):
         a = create((64,), InitPolicy.he_normal(8, seed=0))
         b = create((64,), InitPolicy.he_normal(8, seed=1))
@@ -43,59 +24,23 @@ class TestCreate:
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
-            create((1, -2, 3, 3), InitPolicy.zeros())
+            create((1, -2, 3, 3), InitPolicy.he_normal(1))
 
     def test_flat_index_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
-            create((2**21, 2**21, 2**21, 2), InitPolicy.zeros())
+            create((2**21, 2**21, 2**21, 2), InitPolicy.he_normal(1))
 
     def test_zero_sized_dimension_allowed(self):
-        t = create((2, 0, 4, 4), InitPolicy.zeros())
+        t = create((2, 0, 4, 4), InitPolicy.he_normal(1))
         assert t.size == 0
 
     def test_dtype_switch(self):
-        assert create((3,), InitPolicy.zeros(), dtype=np.float64).dtype == np.float64
-        assert create((3,), InitPolicy.zeros()).dtype == np.float32
+        assert create((3,), InitPolicy.he_normal(1), dtype=np.float64).dtype == np.float64
+        assert create((3,), InitPolicy.he_normal(1)).dtype == np.float32
 
     def test_he_normal_needs_fan_in(self):
         with pytest.raises(ValueError):
-            create((3,), InitPolicy("he_normal", seed=0))
-
-
-class TestMap2:
-    @given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.integers(0, 100))
-    @settings(max_examples=25, deadline=None)
-    def test_identities(self, b, c, s, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=(b, c, s, s)).astype(np.float32)
-        assert np.array_equal(map2(x, np.zeros_like(x), "add"), x)
-        assert np.all(map2(x, x, "sub") == 0)
-        assert np.array_equal(map2(np.ones_like(x), x, "mul"), x)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            map2(np.zeros((1, 2)), np.zeros((2, 1)), "add")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            map2(np.zeros(2), np.zeros(2), "div")
-
-
-class TestFlatIndexing:
-    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
-           st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_bijective(self, n, c, h, w, r):
-        shape = (n, c, h, w)
-        flat = r % (n * c * h * w)
-        idx = decode_index(shape, flat)
-        assert encode_index(shape, *idx) == flat
-        assert all(0 <= v < d for v, d in zip(idx, shape))
-
-    def test_row_major_order(self):
-        shape = (2, 3, 4, 5)
-        arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
-        assert arr[1, 2, 3, 4] == encode_index(shape, 1, 2, 3, 4)
+            create((3,), InitPolicy(fan_in=0, seed=0))
 
 
 class TestBlobFormat:
