@@ -22,6 +22,6 @@ from .pipeline import (Dataset, TrainLog, TrainSchedule, evaluate,
                        synth_dataset, train)
 from .shift import (ShiftSpec, fused_shift_pointwise, make_shift_spec,
                     one_hot_depthwise_kernel, shift_backward, shift_forward)
-from .tensor import InitPolicy, create
+from .tensor import he_normal
 
 __version__ = "0.1.0"

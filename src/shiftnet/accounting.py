@@ -1,16 +1,22 @@
 """Parameter and FLOP accounting, arithmetic-intensity ratios, reduction rates.
 
-Counting conventions, applied uniformly and reported explicitly:
+This module is the one owner of the counting convention. Layers report only
+their kind and shape (`LayerCost`: in/out channels M/N, output side Df,
+kernel side Dk); the per-kind table `COUNTS` turns that into parameters,
+multiply-accumulates and modeled memory traffic, applied uniformly and
+reported explicitly:
 
-* params: spatial conv k^2*M*N, depthwise k^2*M, pointwise M*N, batch norm
-  2 per channel (affine terms only; running statistics are not learned),
-  linear in*out + out bias, shift 0.
+* params: conv k^2*M*N (the 1x1 "pointwise" kind is conv at k = 1),
+  depthwise k^2*M, batch norm 2 per channel (affine terms only; running
+  statistics are not learned), linear in*out + out bias, shift 0.
 * macs: one multiply-accumulate per kernel tap per output position
-  (k^2*M*N*out_positions for spatial, analogous elsewhere). Elementwise work
-  (batch norm, ReLU, residual adds, pooling) is excluded. Shift layers
-  contribute exactly zero.
+  (k^2*M*N*Df^2 for conv, analogous elsewhere). Elementwise work (batch
+  norm, ReLU, residual adds, pooling) is excluded. Shift layers contribute
+  exactly zero.
 * flops_2x: 2 * macs, for comparison against sources that count a
   multiply-accumulate as two floating point operations.
+* words: input and output activations plus weights, each moved once.
+* arithmetic intensity: macs / words.
 
 Reports are pure functions of the architecture and input shape; weights
 never enter. Thread-safe.
@@ -19,24 +25,61 @@ never enter. Thread-safe.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 CONVENTIONS = ("macs", "flops_2x")
 
 
+def _conv(m, n, k):
+    return k * k * m * n, k * k * m * n, m + n
+
+
+# kind -> (params, taps, activation words per output position) from
+# (M, N, Dk); a tap is one weight, used in one MAC per output position
+COUNTS = {
+    "conv": _conv,
+    "pointwise": _conv,  # the conv at Dk = 1
+    "depthwise": lambda m, n, k: (k * k * m, k * k * m, 2 * m),
+    "fc": lambda m, n, k: (m * n + n, m * n, m + n),
+    "bn": lambda m, n, k: (2 * m, 0, None),
+    "shift": lambda m, n, k: (0, 0, 2 * m),
+    "pool": lambda m, n, k: (0, 0, None),
+    "relu": lambda m, n, k: (0, 0, None),
+}
+
+
+def layer_counts(kind: str, m: int, n: int, feature_size: int,
+                 kernel_size: int) -> tuple[int, int, int | None]:
+    """(params, MACs, words moved) of one layer with a feature_size^2 output.
+
+    Words are the activations plus the weights, each moved once; None where
+    the kind's traffic is not modeled.
+    """
+    if kind not in COUNTS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    params, taps, words = COUNTS[kind](m, n, kernel_size)
+    df2 = feature_size * feature_size
+    return params, taps * df2, None if words is None else words * df2 + taps
+
+
 @dataclass
 class LayerCost:
-    """Architecture-only cost of one layer: parameter and multiply-accumulate counts."""
+    """Architecture-only cost of one layer; params and macs follow from the shape."""
 
     name: str
     kind: str          # conv | depthwise | pointwise | shift | bn | fc
-    params: int
-    macs: int
     in_channels: int
     out_channels: int
     feature_size: int  # output spatial side
     kernel_size: int
     note: str = ""
+    params: int = field(init=False)
+    macs: int = field(init=False)
+
+    def __post_init__(self):
+        self.params, self.macs, _ = layer_counts(
+            self.kind, self.in_channels, self.out_channels, self.feature_size,
+            self.kernel_size)
 
 
 @dataclass
@@ -66,40 +109,24 @@ class CostReport:
 
 def arithmetic_intensity(kind: str, m: int, n: int, feature_size: int,
                          kernel_size: int) -> float:
-    """Compute-to-memory-access ratio of one layer.
+    """Compute-to-memory-access ratio of one layer: MACs over words moved.
 
-    Spatial convolution: M*N*Df^2*Dk^2 / (Df^2*(M+N) + Dk^2*M*N).
-    Depthwise: M*Df^2*Dk^2 / (Df^2*2M + Dk^2*M). Pointwise is the spatial
-    ratio at Dk=1. A shift performs no arithmetic, so its ratio is 0; its
-    traffic is still modeled (see memory_access_words).
+    Conv gives M*N*Df^2*Dk^2 / (Df^2*(M+N) + Dk^2*M*N). A layer without
+    arithmetic (a shift, batch norm) has ratio 0, though a shift's traffic
+    is still modeled.
     """
-    df2 = feature_size * feature_size
-    k2 = kernel_size * kernel_size
-    if kind in ("conv", "pointwise", "fc"):
-        comp = m * n * df2 * k2
-        mem = df2 * (m + n) + k2 * m * n
-        return comp / mem
-    if kind == "depthwise":
-        comp = m * df2 * k2
-        mem = df2 * 2 * m + k2 * m
-        return comp / mem
-    if kind in ("shift", "bn", "pool", "relu"):
-        return 0.0
-    raise ValueError(f"unknown layer kind {kind!r}")
+    _, macs, words = layer_counts(kind, m, n, feature_size, kernel_size)
+    return macs / words if macs else 0.0
 
 
 def memory_access_words(kind: str, m: int, n: int, feature_size: int,
                         kernel_size: int) -> int:
-    """Modeled words moved by one layer (the intensity ratio's denominator)."""
-    df2 = feature_size * feature_size
-    k2 = kernel_size * kernel_size
-    if kind in ("conv", "pointwise", "fc"):
-        return df2 * (m + n) + k2 * m * n
-    if kind == "depthwise":
-        return df2 * 2 * m + k2 * m
-    if kind == "shift":
-        return df2 * 2 * m
-    raise ValueError(f"unknown layer kind {kind!r}")
+    """Modeled words moved by one layer: Df^2*(M+N) + Dk^2*M*N for conv,
+    Df^2*2M + Dk^2*M for depthwise and Df^2*2M for a shift."""
+    words = layer_counts(kind, m, n, feature_size, kernel_size)[2]
+    if words is None:
+        raise ValueError(f"no memory model for layer kind {kind!r}")
+    return words
 
 
 def cost_report(net, input_size: int = 32, convention: str = "flops_2x") -> CostReport:

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accounting import memory_access_words
+from .accounting import layer_counts
 from .nets import parse_sections
-from .ops import ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial
+from .ops import (ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial,
+                  out_size)
 from .shift import (fused_shift_pointwise, make_shift_spec, shift_forward,
                     unfused_shift_pointwise)
 
@@ -124,29 +125,6 @@ def _time_callable(fn, reps: int, warmup: int) -> tuple[float, float, float]:
             float(np.percentile(samples, 90)))
 
 
-def _model(kind_key: str, m: int, n: int, f: int, k: int, s: int):
-    """(words moved, multiply-accumulates) for one variant.
-
-    Convolutions are sized at their output side ceil(f / s); the depthwise
-    and shift stages before a strided 1x1 run at the input side f.
-    """
-    fo = (f + s - 1) // s
-    pointwise = memory_access_words("pointwise", m, n, fo, 1), m * n * fo * fo
-    if kind_key == "spatial":
-        return memory_access_words("conv", m, n, fo, k), m * n * fo * fo * k * k
-    if kind_key == "depthwise_pointwise":
-        return (memory_access_words("depthwise", m, n, f, k) + pointwise[0],
-                m * f * f * k * k + pointwise[1])
-    if kind_key == "shift_pointwise_unfused":
-        return memory_access_words("shift", m, n, f, k) + pointwise[0], pointwise[1]
-    if kind_key == "shift_pointwise_fused":
-        # the shifted intermediate never exists; only the 1x1's traffic remains
-        return pointwise
-    if kind_key == "shift":
-        return memory_access_words("shift", m, n, f, k), 0
-    raise ValueError(kind_key)
-
-
 class BenchError(RuntimeError):
     pass
 
@@ -156,21 +134,25 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
     m, n, f, k = case.channels, case.out_channels, case.feature, case.kernel
     x = rng.normal(size=(case.batch, m, f, f)).astype(np.float32)
     rows = []
+    # stages are (layer kind, side, kernel): convolutions are sized at their
+    # output side, the depthwise and shift stages before a strided 1x1 at f
+    pointwise = ("pointwise", out_size(f, 1, case.stride, 0), 1)
 
-    def add(variant_key, variant_name, fn):
+    def add(variant, stages, fn):
         med, p10, p90 = _time_callable(fn, case.reps, case.warmup)
-        words, flops = _model(variant_key, m, n, f, k, case.stride)
-        rows.append(BenchRow(case.kind, case.dims, variant_name,
-                             med, p10, p90, words, flops))
+        counts = [layer_counts(kind, m, n, side, kk) for kind, side, kk in stages]
+        rows.append(BenchRow(case.kind, case.dims, variant, med, p10, p90,
+                             sum(c[2] for c in counts), sum(c[1] for c in counts)))
 
     if case.kind == "spatial":
         kern = ConvKernel(rng.normal(size=(k, k, m, n)).astype(np.float32),
                           case.stride, k // 2)
-        add("spatial", "spatial", lambda: conv2d_spatial(x, kern))
+        add("spatial", [("conv", out_size(f, k, case.stride, k // 2), k)],
+            lambda: conv2d_spatial(x, kern))
     elif case.kind == "depthwise_pointwise":
         dw = ConvKernel(rng.normal(size=(k, k, m)).astype(np.float32), 1, k // 2)
         pw = ConvKernel(rng.normal(size=(m, n)).astype(np.float32), case.stride)
-        add("depthwise_pointwise", "depthwise_pointwise",
+        add("depthwise_pointwise", [("depthwise", f, k), pointwise],
             lambda: conv2d_pointwise(conv2d_depthwise(x, dw), pw))
     elif case.kind == "shift_pointwise":
         spec = make_shift_spec(m, k)
@@ -182,13 +164,13 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
         if rel > 1e-6:
             raise BenchError(f"fused/unfused divergence {rel:.3g} on {case.dims}; "
                              "refusing to time incorrect code")
-        add("shift_pointwise_unfused", "unfused",
+        add("unfused", [("shift", f, k), pointwise],
             lambda: unfused_shift_pointwise(x, spec, pw))
-        add("shift_pointwise_fused", "fused",
-            lambda: fused_shift_pointwise(x, spec, pw))
+        # the shifted intermediate never exists; only the 1x1's traffic remains
+        add("fused", [pointwise], lambda: fused_shift_pointwise(x, spec, pw))
     elif case.kind == "shift":
         spec = make_shift_spec(m, k)
-        add("shift", "shift", lambda: shift_forward(x, spec))
+        add("shift", [("shift", f, k)], lambda: shift_forward(x, spec))
     return rows
 
 

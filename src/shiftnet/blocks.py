@@ -3,10 +3,12 @@
 Every layer speaks one protocol: forward(x, mode), backward(dout), params(),
 state_arrays() and cost_entries(name, in_shape).
 
-* Atomic layers (convolutions, shift, batch norm, ReLU, pools, linear)
-  subclass `Layer`. Each declares only its own parameters (`param_names`)
-  and at most one cost entry, and caches the last forward inputs for the
-  matching backward call.
+* Atomic layers (`Conv`, shift, batch norm, ReLU, pools, linear) subclass
+  `Layer`. Each declares only its own parameters (`param_names`) and at
+  most one cost entry, and caches the last forward inputs for the matching
+  backward call. `Conv` is the one convolution layer: k = 1 is the 1x1.
+  A cost entry names only the layer's kind and shape; `accounting` alone
+  turns that into parameter and MAC counts.
 * Composites (`StemConv`, `CscBlock`, `BasicBlock`, and `nets.Network` over
   its layer list) subclass `Composite` and list their children in order:
   children order is forward order. The generic walk then supplies params,
@@ -43,7 +45,7 @@ from . import ops
 from .accounting import LayerCost
 from .ops import BatchNormState, ConvKernel
 from .shift import ShiftSpec, make_shift_spec, shift_backward, shift_forward
-from .tensor import REAL, InitPolicy, create
+from .tensor import REAL, he_normal
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -152,10 +154,14 @@ class Composite:
         return entries, shape
 
 
-class SpatialConv(Layer):
-    """k x k convolution, zero-padded for same-size output at stride 1, no bias."""
+class Conv(Layer):
+    """k x k convolution without bias, zero-padded for same-size output at stride 1.
 
-    kind = "conv"
+    The kernel size picks the op: at k = 1 this is the 1x1 ("pointwise")
+    channel mix, its weight the (in, out) matrix and its stride a subsampling
+    of output positions; at k > 1 the weight is (k, k, in, out).
+    """
+
     param_names = ("weight",)
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
@@ -165,10 +171,15 @@ class SpatialConv(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = kernel_size // 2
+        if kernel_size == 1:
+            self.kind, shape = "pointwise", (in_channels, out_channels)
+            self._ops = (ops.conv2d_pointwise, ops.conv2d_pointwise_backward)
+        else:
+            self.kind = "conv"
+            shape = (kernel_size, kernel_size, in_channels, out_channels)
+            self._ops = (ops.conv2d_spatial, ops.conv2d_spatial_backward)
         fan_in = kernel_size * kernel_size * in_channels
-        w = create((kernel_size, kernel_size, in_channels, out_channels),
-                   InitPolicy.he_normal(fan_in, seed), dtype)
-        self.weight = Param(w)
+        self.weight = Param(he_normal(shape, fan_in, seed, dtype))
         self._x = None
 
     def _kernel(self) -> ConvKernel:
@@ -176,60 +187,19 @@ class SpatialConv(Layer):
 
     def forward(self, x, mode="train"):
         self._x = x
-        return ops.conv2d_spatial(x, self._kernel())
+        return self._ops[0](x, self._kernel())
 
     def backward(self, dout):
-        dx, dw = ops.conv2d_spatial_backward(dout, self._x, self._kernel())
+        dx, dw = self._ops[1](dout, self._x, self._kernel())
         self.weight.grad += dw
         return dx
 
     def cost_entries(self, name, in_shape):
-        c, h, w = in_shape
-        ho = (h + 2 * self.padding - self.kernel_size) // self.stride + 1
-        wo = (w + 2 * self.padding - self.kernel_size) // self.stride + 1
-        k2 = self.kernel_size ** 2
-        n_params = k2 * self.in_channels * self.out_channels
-        macs = n_params * ho * wo
-        entry = LayerCost(name, "conv", n_params, macs, self.in_channels,
-                          self.out_channels, ho, self.kernel_size)
-        return [entry], (self.out_channels, ho, wo)
-
-
-class PointwiseConv(Layer):
-    """1x1 convolution mixing channels; the stride subsamples output positions."""
-
-    kind = "pointwise"
-    param_names = ("weight",)
-
-    def __init__(self, in_channels, out_channels, stride=1, seed=0, dtype=REAL):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.stride = stride
-        w = create((in_channels, out_channels),
-                   InitPolicy.he_normal(in_channels, seed), dtype)
-        self.weight = Param(w)
-        self._x = None
-
-    def _kernel(self) -> ConvKernel:
-        return ConvKernel(self.weight.value, self.stride, 0)
-
-    def forward(self, x, mode="train"):
-        self._x = x
-        return ops.conv2d_pointwise(x, self._kernel())
-
-    def backward(self, dout):
-        dx, dw = ops.conv2d_pointwise_backward(dout, self._x, self._kernel())
-        self.weight.grad += dw
-        return dx
-
-    def cost_entries(self, name, in_shape):
-        c, h, w = in_shape
-        ho = (h + self.stride - 1) // self.stride
-        wo = (w + self.stride - 1) // self.stride
-        n_params = self.in_channels * self.out_channels
-        macs = n_params * ho * wo
-        entry = LayerCost(name, "pointwise", n_params, macs, self.in_channels,
-                          self.out_channels, ho, 1)
+        _, h, w = in_shape
+        ho, wo = (ops.out_size(d, self.kernel_size, self.stride, self.padding)
+                  for d in (h, w))
+        entry = LayerCost(name, self.kind, self.in_channels, self.out_channels,
+                          ho, self.kernel_size)
         return [entry], (self.out_channels, ho, wo)
 
 
@@ -252,8 +222,7 @@ class Shift(Layer):
         note = ""
         if c < self.spec.kernel_size ** 2:
             note = "fewer channels than window positions; some shift groups empty"
-        entry = LayerCost(name, "shift", 0, 0, c, c, h,
-                          self.spec.kernel_size, note=note)
+        entry = LayerCost(name, "shift", c, c, h, self.spec.kernel_size, note)
         return [entry], in_shape
 
 
@@ -287,7 +256,7 @@ class BatchNorm(Layer):
 
     def cost_entries(self, name, in_shape):
         c, h, w = in_shape
-        entry = LayerCost(name, "bn", 2 * self.channels, 0, c, c, h, 1)
+        entry = LayerCost(name, "bn", c, c, h, 1)
         return [entry], in_shape
 
 
@@ -333,9 +302,8 @@ class Linear(Layer):
     def __init__(self, in_features, out_features, seed=0, dtype=REAL):
         self.in_features = in_features
         self.out_features = out_features
-        w = create((in_features, out_features),
-                   InitPolicy.he_normal(in_features, seed), dtype)
-        self.weight = Param(w)
+        self.weight = Param(he_normal((in_features, out_features), in_features,
+                                      seed, dtype))
         self.bias = Param(np.zeros(out_features, dtype=dtype))
         self._x = None
 
@@ -350,10 +318,7 @@ class Linear(Layer):
         return dx
 
     def cost_entries(self, name, in_shape):
-        n_params = self.in_features * self.out_features + self.out_features
-        macs = self.in_features * self.out_features
-        entry = LayerCost(name, "fc", n_params, macs, self.in_features,
-                          self.out_features, 1, 1)
+        entry = LayerCost(name, "fc", self.in_features, self.out_features, 1, 1)
         return [entry], (self.out_features,)
 
 
@@ -364,8 +329,8 @@ class StemConv(Composite):
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1,
                  seed=0, dtype=REAL):
-        self.conv = SpatialConv(in_channels, out_channels, kernel_size,
-                                stride, seed, dtype)
+        self.conv = Conv(in_channels, out_channels, kernel_size, stride, seed,
+                         dtype)
         self.bn = BatchNorm(out_channels, dtype)
         self.relu = ReLU()
 
@@ -448,12 +413,12 @@ class CscBlock(Composite):
             self.child_names = ("shift0",) + self.child_names
         self.bn1 = BatchNorm(cfg.in_channels, dtype)
         self.relu1 = ReLU()
-        self.pw1 = PointwiseConv(cfg.in_channels, mid, 1, seeds.next(), dtype)
+        self.pw1 = Conv(cfg.in_channels, mid, 1, 1, seeds.next(), dtype)
         self.bn2 = BatchNorm(mid, dtype)
         self.relu2 = ReLU()
         self.shift = Shift(self.spec)
-        self.pw2 = PointwiseConv(mid, cfg.main_out_channels, cfg.stride,
-                                 seeds.next(), dtype)
+        self.pw2 = Conv(mid, cfg.main_out_channels, 1, cfg.stride,
+                        seeds.next(), dtype)
         self._x = None
 
     def forward(self, x, mode="train"):
@@ -513,10 +478,10 @@ class BasicBlock(Composite):
         self.stride = stride
         mid = out_channels if mid_channels is None else mid_channels
         self.mid_channels = mid
-        self.conv1 = SpatialConv(in_channels, mid, 3, stride, seeds.next(), dtype)
+        self.conv1 = Conv(in_channels, mid, 3, stride, seeds.next(), dtype)
         self.bn1 = BatchNorm(mid, dtype)
         self.relu1 = ReLU()
-        self.conv2 = SpatialConv(mid, out_channels, 3, 1, seeds.next(), dtype)
+        self.conv2 = Conv(mid, out_channels, 3, 1, seeds.next(), dtype)
         self.bn2 = BatchNorm(out_channels, dtype)
         self._x = None
 

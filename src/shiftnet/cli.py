@@ -24,15 +24,17 @@ def _resolve_arch(args) -> Network:
             cfg = nets.parse_config(f.read())
         if getattr(args, "classes", None):
             cfg["num_classes"] = args.classes
-        cfg["seed"] = getattr(args, "seed", 0)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
         return nets.rebuild(cfg)
+    seed = args.seed or 0
     if args.arch.lower() == "shift_layer":
         rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
         return Network("shift_layer", rows, num_classes=0,
                        input_channels=getattr(args, "channels", 16))
     net = nets.build_by_name(args.arch, expansion=args.expansion,
                              num_classes=getattr(args, "classes", None),
-                             seed=getattr(args, "seed", 0))
+                             seed=seed)
     reduce_mode = getattr(args, "reduce", None)
     if reduce_mode:
         if not args.arch.lower().startswith("resnet"):
@@ -43,14 +45,17 @@ def _resolve_arch(args) -> Network:
         mode = {"module": "module_wise", "net": "net_wise"}[reduce_mode]
         net = nets.reduce_resnet(depth, args.target_params, mode,
                                  num_classes=getattr(args, "classes", None) or 10,
-                                 seed=getattr(args, "seed", 0))
+                                 seed=seed)
     return net
 
 
 def _load_data(spec: str, num_classes: int, seed: int, synth_n: int):
     if spec == "synth":
-        ds = pipeline.synth_dataset(synth_n, num_classes, seed=seed)
-        return ds, ds
+        if synth_n < num_classes:
+            raise ValueError(f"--synth-n {synth_n} is below the {num_classes} classes")
+        # one draw of 2n images: the first n train, the other n are held out
+        ds = pipeline.synth_dataset(2 * synth_n, num_classes, seed=seed)
+        return ds.subset(slice(synth_n)), ds.subset(slice(synth_n, None), "test")
     return pipeline.load_cifar10(spec)
 
 
@@ -76,7 +81,7 @@ def _cmd_count(args) -> int:
     key = args.arch.lower()
     if key.startswith("shiftresnet") and not os.path.exists(args.arch):
         base = nets.build_resnet(int(key[len("shiftresnet"):]),
-                                 args.classes or 10, args.seed)
+                                 args.classes or 10, args.seed or 0)
         base_rep = accounting.cost_report(base, args.input)
         prate, frate = accounting.reduction_report(base_rep, report)
         print(f"reduction vs {base.name}: params {prate:.2f}x  flops {frate:.2f}x")
@@ -88,19 +93,17 @@ def _cmd_count(args) -> int:
 def _cmd_train(args) -> int:
     net = _resolve_arch(args)
     data_spec = args.data or os.environ.get(DATA_ENV) or "synth"
-    train_ds, _ = _load_data(data_spec, net.num_classes, args.seed, args.synth_n)
+    seed = args.seed or 0
+    train_ds, _ = _load_data(data_spec, net.num_classes, seed, args.synth_n)
     if args.subset and args.subset < len(train_ds):
-        train_ds = pipeline.Dataset(train_ds.images[:args.subset],
-                                    train_ds.labels[:args.subset],
-                                    train_ds.split, train_ds.num_classes,
-                                    train_ds.mean, train_ds.std)
+        train_ds = train_ds.subset(slice(args.subset))
     decay_points = tuple(int(p) for p in args.decay.split(",") if p) \
         if args.decay else ()
     schedule = pipeline.TrainSchedule(
         max_iters=args.iters, base_lr=args.lr, batch_size=args.batch,
         lr_decay_points=decay_points, decay_factor=args.decay_factor,
         momentum=args.momentum, weight_decay=args.weight_decay,
-        seed=args.seed, augment=args.augment, log_every=args.log_every)
+        seed=seed, augment=args.augment, log_every=args.log_every)
     log = pipeline.train(net, train_ds, schedule, out_checkpoint=args.out)
     if args.log_csv:
         with open(args.log_csv, "w") as f:
@@ -171,7 +174,8 @@ def _add_arch_flags(p, classes_default=None):
                    help="architecture name or config file path")
     p.add_argument("--expansion", type=float, default=1.0)
     p.add_argument("--classes", type=int, default=classes_default)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="weight seed (default: a config file's own, else 0)")
     p.add_argument("--channels", type=int, default=16,
                    help="channel count for shift_layer queries")
     p.add_argument("--kernel", type=int, default=3,

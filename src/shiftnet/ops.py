@@ -68,7 +68,8 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _out_size(size: int, k: int, stride: int, padding: int) -> int:
+def out_size(size: int, k: int, stride: int, padding: int) -> int:
+    """Output side of a k-wide window slid at `stride` over a padded input."""
     out = (size + 2 * padding - k) // stride + 1
     if out <= 0:
         raise ValueError(f"non-positive output size for input {size}, kernel {k}, "
@@ -79,8 +80,8 @@ def _out_size(size: int, k: int, stride: int, padding: int) -> int:
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
     """Unfold k x k patches into rows ordered (ki, kj, channel)."""
     b, c, h, w = x.shape
-    ho = _out_size(h, k, stride, padding)
-    wo = _out_size(w, k, stride, padding)
+    ho = out_size(h, k, stride, padding)
+    wo = out_size(w, k, stride, padding)
     xp = _pad(x, padding)
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]          # (b, c, ho, wo, k, k)
@@ -130,8 +131,8 @@ def conv2d_depthwise(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, kernel expects {m}")
     s, p = kernel.stride, kernel.padding
     b, _, h, w = x.shape
-    ho = _out_size(h, k, s, p)
-    wo = _out_size(w, k, s, p)
+    ho = out_size(h, k, s, p)
+    wo = out_size(w, k, s, p)
     xp = _pad(x, p)
     y = np.zeros((b, m, ho, wo), dtype=x.dtype)
     for ki in range(k):

@@ -61,6 +61,11 @@ class Dataset:
     def __len__(self):
         return len(self.labels)
 
+    def subset(self, index, split: str | None = None) -> "Dataset":
+        """The records at `index` (a slice), sharing the standardization stats."""
+        return Dataset(self.images[index], self.labels[index], split or self.split,
+                       self.num_classes, self.mean, self.std)
+
     def batch(self, idx) -> tuple[np.ndarray, np.ndarray]:
         x = self.images[idx]
         if x.dtype == np.uint8:
@@ -321,24 +326,36 @@ def save_checkpoint(net: Network, path: str, iteration: int = 0,
 
 
 def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:
-    """Rebuild the network named by the manifest and restore every array bit-exactly."""
+    """Rebuild the network named by the manifest and restore every array bit-exactly.
+
+    The entries must name each live array once and tile the blob in order;
+    anything else raises ValueError.
+    """
     with open(path) as f:
         manifest = json.load(f)
     with open(_blob_path(path), "rb") as f:
         blob = f.read()
     net = rebuild(manifest["config"], dtype=dtype)
     live = dict(net.named_state())
-    listed = {e["name"] for e in manifest["entries"]}
-    if listed != set(live):
+    names = [e["name"] for e in manifest["entries"]]
+    listed = set(names)
+    if listed != set(live) or len(names) != len(listed):
         missing = sorted(set(live) - listed)[:3]
         extra = sorted(listed - set(live))[:3]
-        raise ValueError(f"manifest/blob mismatch: missing {missing}, unexpected {extra}")
+        raise ValueError(f"manifest/blob mismatch: missing {missing}, unexpected "
+                         f"{extra}, {len(names) - len(listed)} duplicate names")
+    end = 0
     for entry in manifest["entries"]:
-        arr, _ = blob_load(blob, entry["offset"])
+        if entry["offset"] != end:
+            raise ValueError(f"entry {entry['name']} at offset {entry['offset']}, "
+                             f"expected {end}")
+        arr, end = blob_load(blob, end)
         target = live[entry["name"]]
         shape = tuple(entry["shape"])
         if int(np.prod(shape)) != arr.size or shape != target.shape:
             raise ValueError(f"shape mismatch for {entry['name']}: "
                              f"manifest {shape}, live {target.shape}")
         target[...] = arr.reshape(shape).astype(target.dtype)
+    if end != len(blob):
+        raise ValueError(f"{len(blob) - end} blob bytes after the last entry")
     return net, manifest

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvKernel, conv2d_pointwise
+from .ops import ConvKernel, conv2d_pointwise, out_size
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
                          f"spec has {spec.channels}")
     s = kernel.stride
     b, _, h, wd = x.shape
-    ho = (h + s - 1) // s
-    wo = (wd + s - 1) // s
+    ho, wo = out_size(h, 1, s, 0), out_size(wd, 1, s, 0)
     out = np.zeros((b, w.shape[1], ho, wo), dtype=x.dtype)
     for (dy, dx), chans in channel_groups(spec):
         # output rows k with 0 <= s*k + dy < h

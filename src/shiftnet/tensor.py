@@ -9,12 +9,10 @@ so concurrent reads of shared tensors are safe.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 REAL = np.float32
-REAL64 = np.float64
 
 # Flat indices must fit a signed 64-bit int.
 _MAX_ELEMS = 2**63 - 1
@@ -22,27 +20,13 @@ _MAX_ELEMS = 2**63 - 1
 _BLOB_HEADER = struct.Struct("<4q")
 
 
-@dataclass(frozen=True)
-class InitPolicy:
-    """Seeded He-normal fill: zero-mean Gaussian with variance 2/fan_in.
+def he_normal(shape: tuple[int, ...], fan_in: int, seed: int = 0,
+              dtype=REAL) -> np.ndarray:
+    """Seeded He-normal tensor: zero-mean Gaussian with variance 2/fan_in.
 
-    (fan_in, seed, shape) fully determine the data.
-    """
-
-    fan_in: int
-    seed: int = 0
-
-    @staticmethod
-    def he_normal(fan_in: int, seed: int = 0) -> "InitPolicy":
-        return InitPolicy(int(fan_in), seed)
-
-
-def create(shape: tuple[int, ...], policy: InitPolicy, dtype=REAL) -> np.ndarray:
-    """Allocate a tensor of `shape` filled per `policy`.
-
-    Deterministic: identical (policy, shape) pairs produce bit-identical
-    tensors. Raises ValueError on negative dimensions, flat-index overflow
-    or a non-positive fan_in.
+    Deterministic: (shape, fan_in, seed) fully determine the data. Raises
+    ValueError on negative dimensions, flat-index overflow or a non-positive
+    fan_in.
     """
     shape = tuple(int(d) for d in shape)
     if any(d < 0 for d in shape):
@@ -52,11 +36,10 @@ def create(shape: tuple[int, ...], policy: InitPolicy, dtype=REAL) -> np.ndarray
         n *= d
         if n > _MAX_ELEMS:
             raise ValueError(f"shape {shape} overflows the flat index space")
-    if policy.fan_in <= 0:
+    if fan_in <= 0:
         raise ValueError("he_normal requires a positive fan_in")
-    rng = np.random.default_rng(policy.seed)
-    std = np.sqrt(2.0 / policy.fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+    rng = np.random.default_rng(seed)
+    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
 
 def blob_dump(arr: np.ndarray) -> bytes:

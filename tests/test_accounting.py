@@ -4,21 +4,21 @@ from shiftnet.accounting import (arithmetic_intensity, comparison_table,
                                  cost_report, count_flops, count_params,
                                  format_table, memory_access_words,
                                  reduction_report, report_to_csv)
-from shiftnet.blocks import SpatialConv, Shift
+from shiftnet.blocks import Conv, Shift
 from shiftnet.nets import build_resnet, build_shiftresnet, build_shiftnet
 from shiftnet.shift import make_shift_spec
 
 
 class TestMacCounting:
     def test_single_spatial_conv_hand_value(self):
-        conv = SpatialConv(16, 16, 3)
+        conv = Conv(16, 16, 3)
         entries, out_shape = conv.cost_entries("conv", (16, 32, 32))
         assert out_shape == (16, 32, 32)
         assert entries[0].macs == 2_359_296  # 16*16*9*32*32
         assert entries[0].params == 2_304
 
     def test_strided_conv_uses_output_positions(self):
-        conv = SpatialConv(16, 16, 3, stride=2)
+        conv = Conv(16, 16, 3, stride=2)
         entries, out_shape = conv.cost_entries("conv", (16, 32, 32))
         assert out_shape == (16, 16, 16)
         assert entries[0].macs == 16 * 16 * 9 * 16 * 16

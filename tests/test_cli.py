@@ -1,10 +1,12 @@
 import os
 import re
 
+import numpy as np
 import pytest
 
-from shiftnet.cli import main
+from shiftnet.cli import _load_data, main
 from shiftnet.nets import parse_config
+from shiftnet.pipeline import synth_dataset
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +77,35 @@ class TestArchDump:
         assert code2 == 0
         params = int(re.search(r"params: (\d+)", out2).group(1))
         assert abs(params - 4.1e6) <= 0.05 * 4.1e6
+
+    def test_config_file_keeps_its_seed(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "arch", "dump", "--arch", "shiftresnet20",
+                            "--seed", "7")
+        path = tmp_path / "s7.cfg"
+        path.write_text(out)
+        code, again, _ = run_cli(capsys, "arch", "dump", "--arch", str(path))
+        assert code == 0
+        assert parse_config(again)["seed"] == 7
+        _, reseeded, _ = run_cli(capsys, "arch", "dump", "--arch", str(path),
+                                 "--seed", "3")
+        assert parse_config(reseeded)["seed"] == 3
+
+
+class TestSynthData:
+    def test_splits_share_no_image(self):
+        train, test = _load_data("synth", 10, seed=1, synth_n=64)
+        assert (len(train), len(test)) == (64, 64)
+        assert (train.split, test.split) == ("train", "test")
+        flat_train = {im.tobytes() for im in train.images}
+        assert not any(im.tobytes() in flat_train for im in test.images)
+        with pytest.raises(ValueError, match="below the 10 classes"):
+            _load_data("synth", 10, seed=1, synth_n=5)
+
+    def test_train_split_unchanged(self):
+        train, _ = _load_data("synth", 10, seed=1, synth_n=64)
+        alone = synth_dataset(64, 10, seed=1)
+        assert np.array_equal(train.images, alone.images)
+        assert np.array_equal(train.labels, alone.labels)
 
 
 @pytest.fixture(scope="module")

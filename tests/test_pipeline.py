@@ -275,6 +275,45 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="mismatch"):
             load_checkpoint(path)
 
+    @staticmethod
+    def _tamper(tmp_path, edit_entries=None, extra_blob=b""):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(_tiny_net(), path)
+        with open(path) as f:
+            manifest = json.load(f)
+        if edit_entries:
+            edit_entries({e["name"]: e for e in manifest["entries"]},
+                         manifest["entries"])
+        with open(path, "w") as f:
+            json.dump(manifest, f)
+        with open(path + ".blob", "ab") as f:
+            f.write(extra_blob)
+        return path
+
+    def test_duplicated_offset_rejected(self, tmp_path):
+        def alias(by_name, _):
+            # same shape, so only the offsets can tell the two apart
+            by_name["group1.block1.pw2.weight"]["offset"] = \
+                by_name["group1.block0.pw2.weight"]["offset"]
+        with pytest.raises(ValueError, match="offset"):
+            load_checkpoint(self._tamper(tmp_path, alias))
+
+    def test_offset_past_end_rejected(self, tmp_path):
+        def past_end(_, entries):
+            entries[-1]["offset"] = 10**9
+        with pytest.raises(ValueError, match="offset"):
+            load_checkpoint(self._tamper(tmp_path, past_end))
+
+    def test_trailing_blob_bytes_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="after the last entry"):
+            load_checkpoint(self._tamper(tmp_path, extra_blob=b"\0" * 40))
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        def duplicate(_, entries):
+            entries.append(dict(entries[-1]))
+        with pytest.raises(ValueError, match="1 duplicate names"):
+            load_checkpoint(self._tamper(tmp_path, duplicate))
+
     def test_evaluate_identical_after_round_trip(self, tmp_path):
         net = _tiny_net(seed=8)
         ds = synth_dataset(24, 4, seed=8)

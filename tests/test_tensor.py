@@ -1,46 +1,44 @@
 import numpy as np
 import pytest
 
-from shiftnet.tensor import InitPolicy, blob_dump, blob_load, create
+from shiftnet.tensor import blob_dump, blob_load, he_normal
 
 
 class TestCreate:
     def test_he_normal_deterministic(self):
-        p = InitPolicy.he_normal(fan_in=16 * 9, seed=7)
-        a = create((1, 16, 32, 32), p)
-        b = create((1, 16, 32, 32), p)
+        a = he_normal((1, 16, 32, 32), fan_in=16 * 9, seed=7)
+        b = he_normal((1, 16, 32, 32), fan_in=16 * 9, seed=7)
         assert np.array_equal(a, b)
 
     def test_he_normal_variance(self):
-        p = InitPolicy.he_normal(fan_in=50, seed=1)
-        t = create((100, 100), p, dtype=np.float64)
+        t = he_normal((100, 100), fan_in=50, seed=1, dtype=np.float64)
         assert abs(t.std() - np.sqrt(2 / 50)) < 0.01
         assert abs(t.mean()) < 0.01
 
     def test_seed_changes_data(self):
-        a = create((64,), InitPolicy.he_normal(8, seed=0))
-        b = create((64,), InitPolicy.he_normal(8, seed=1))
+        a = he_normal((64,), 8, seed=0)
+        b = he_normal((64,), 8, seed=1)
         assert not np.array_equal(a, b)
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
-            create((1, -2, 3, 3), InitPolicy.he_normal(1))
+            he_normal((1, -2, 3, 3), 1)
 
     def test_flat_index_overflow_rejected(self):
         with pytest.raises(ValueError, match="overflow"):
-            create((2**21, 2**21, 2**21, 2), InitPolicy.he_normal(1))
+            he_normal((2**21, 2**21, 2**21, 2), 1)
 
     def test_zero_sized_dimension_allowed(self):
-        t = create((2, 0, 4, 4), InitPolicy.he_normal(1))
+        t = he_normal((2, 0, 4, 4), 1)
         assert t.size == 0
 
     def test_dtype_switch(self):
-        assert create((3,), InitPolicy.he_normal(1), dtype=np.float64).dtype == np.float64
-        assert create((3,), InitPolicy.he_normal(1)).dtype == np.float32
+        assert he_normal((3,), 1, dtype=np.float64).dtype == np.float64
+        assert he_normal((3,), 1).dtype == np.float32
 
     def test_he_normal_needs_fan_in(self):
         with pytest.raises(ValueError):
-            create((3,), InitPolicy(fan_in=0, seed=0))
+            he_normal((3,), fan_in=0, seed=0)
 
 
 class TestBlobFormat:
