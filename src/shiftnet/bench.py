@@ -5,7 +5,8 @@ shift+1x1 kernel on configurable layer sizes, next to a modeled cost: the
 multiply-accumulate count and the memory words each kernel moves (the
 numerator and denominator of the arithmetic-intensity ratios). A shift moves
 2*M*Df^2 words and computes nothing; the fused kernel additionally skips the
-intermediate tensor's write+read round trip.
+intermediate tensor's write+read round trip. Measured, the fused kernel is
+still the slower one at every block shape tried (see its docstring).
 
 Correctness gates timing: fused and unfused shift+1x1 outputs must agree to
 1e-6 relative before a single measurement is taken. Wall-clock results are

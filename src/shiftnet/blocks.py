@@ -16,6 +16,11 @@ state_arrays() and cost_entries(name, in_shape).
   runs forward through the children and backward through them reversed.
   Blocks add only their parameter-free shortcut on top of that path.
   Children are plain attributes, so instrumentation can find and wrap them.
+* In-place writes: a ReLU overwrites its input, a batch norm's output that
+  nothing else reads (BN's backward uses BN's input), and its dout, fresh
+  from the next layer's backward. Blocks add the shortcut into the main
+  path's fresh output and gradient. So blocks and `Network` never write to
+  their `x` or `dout`; the stem, ending in a ReLU, overwrites its dout.
 
 The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
@@ -261,17 +266,19 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
+    """In-place rectifier; `_x` holds the output, positive where the input was."""
+
     kind = "relu"
 
     def __init__(self):
         self._x = None
 
     def forward(self, x, mode="train"):
-        self._x = x
-        return ops.relu(x)
+        self._x = ops.relu(x, out=x)
+        return self._x
 
     def backward(self, dout):
-        return ops.relu_backward(dout, self._x)
+        return ops.relu_backward(dout, self._x, out=dout)
 
 
 class GlobalAvgPool(Layer):
@@ -398,7 +405,8 @@ class CscBlock(Composite):
     carries the block's stride so spatial information is mixed by the shift
     before downsampling. The residual taps the raw input. The "sc2" variant
     shifts once more at the very start (child `shift0`), widening the
-    receptive field.
+    receptive field. Training runs shift and pw2 unfused on purpose: the fused
+    kernel measured slower (see `shift.fused_shift_pointwise`).
     """
 
     def __init__(self, cfg: CscConfig, seeds: SeedStream, dtype=REAL):
@@ -426,28 +434,24 @@ class CscBlock(Composite):
         self._x = x
         main = super().forward(x, mode)
         if cfg.stride == 1:
-            return main + x
-        if not cfg.has_shortcut:
-            return main
-        if cfg.downsample == "add":
-            return main + downsample_combine(x)
-        return np.concatenate([ops.avgpool2x2(x), main], axis=1)
+            main += x
+        elif cfg.has_shortcut and cfg.downsample == "add":
+            main += downsample_combine(x)
+        elif cfg.has_shortcut:
+            return np.concatenate([ops.avgpool2x2(x), main], axis=1)
+        return main
 
     def backward(self, dout):
-        cfg = self.cfg
+        cfg, c = self.cfg, self.cfg.in_channels
+        concat = cfg.stride == 2 and cfg.has_shortcut and cfg.downsample == "concat"
+        d = super().backward(dout[:, c:] if concat else dout)
         if cfg.stride == 1:
-            dmain, dshort = dout, dout
-        elif not cfg.has_shortcut:
-            dmain, dshort = dout, None
-        elif cfg.downsample == "add":
-            dmain = dout
-            dshort = downsample_combine_backward(dout, self._x)
-        else:
-            c = cfg.in_channels
-            dmain = dout[:, c:]
-            dshort = ops.avgpool2x2_backward(dout[:, :c], self._x)
-        d = super().backward(dmain)
-        return d if dshort is None else d + dshort
+            d += dout
+        elif concat:
+            d += ops.avgpool2x2_backward(dout[:, :c], self._x)
+        elif cfg.has_shortcut:
+            d += downsample_combine_backward(dout, self._x)
+        return d
 
     def cost_entries(self, name, in_shape):
         # pw2 already strided the feature map; the shortcut costs nothing
@@ -506,7 +510,11 @@ class BasicBlock(Composite):
 
     def forward(self, x, mode="train"):
         self._x = x
-        return super().forward(x, mode) + self._shortcut(x)
+        main = super().forward(x, mode)
+        main += self._shortcut(x)
+        return main
 
     def backward(self, dout):
-        return super().backward(dout) + self._shortcut_backward(dout, self._x)
+        d = super().backward(dout)
+        d += self._shortcut_backward(dout, self._x)
+        return d

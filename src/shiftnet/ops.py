@@ -2,10 +2,12 @@
 
 Spatial, depthwise and pointwise (1x1) convolutions, batch normalization,
 ReLU, average pooling, fully-connected and softmax cross-entropy. All
-functions are pure in their array arguments (BatchNormState running stats
-are the one documented exception, updated only in train mode) and respect
-the dtype of their inputs, so the same code path runs in float32 for
-training and float64 for finite-difference checks.
+functions are pure in their array arguments, with two exceptions: train-mode
+batch norm updates the BatchNormState running stats, and `relu` and
+`relu_backward` write into the `out=` array, which saves an allocation when
+the caller owns that array and nothing else reads it. All respect the dtype
+of their inputs, so the same code path runs in float32 for training and
+float64 for finite-difference checks.
 
 Convolution kernels carry no bias: every convolution in this framework is
 followed by a batch norm whose beta subsumes it, and parameter/FLOP counts
@@ -78,15 +80,16 @@ def out_size(size: int, k: int, stride: int, padding: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    """Unfold k x k patches into rows ordered (ki, kj, channel)."""
+    """Unfold k x k patches into (b, k*k*c, ho*wo), rows ordered (ki, kj, channel)."""
     b, c, h, w = x.shape
     ho = out_size(h, k, stride, padding)
     wo = out_size(w, k, stride, padding)
     xp = _pad(x, padding)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]          # (b, c, ho, wo, k, k)
-    cols = win.transpose(0, 2, 3, 4, 5, 1)        # (b, ho, wo, ki, kj, c)
-    return cols.reshape(b * ho * wo, k * k * c), (ho, wo)
+    cols = np.empty((b, k, k, c, ho, wo), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, ki, kj] = xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
+    return cols.reshape(b, k * k * c, ho * wo), (ho, wo)
 
 
 def conv2d_spatial(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
@@ -97,9 +100,8 @@ def conv2d_spatial(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
     if x.shape[1] != m:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, kernel expects {m}")
     cols, (ho, wo) = _im2col(x, k, kernel.stride, kernel.padding)
-    wmat = kernel.weights.reshape(k * k * m, n)
-    y = cols @ wmat
-    return y.reshape(x.shape[0], ho, wo, n).transpose(0, 3, 1, 2).copy()
+    y = np.matmul(kernel.weights.reshape(k * k * m, n).T, cols)   # (b, n, ho*wo)
+    return y.reshape(x.shape[0], n, ho, wo)
 
 
 def conv2d_spatial_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKernel):
@@ -110,16 +112,17 @@ def conv2d_spatial_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKernel)
     b, _, h, w = x.shape
     ho, wo = dout.shape[2], dout.shape[3]
     cols, _ = _im2col(x, k, s, p)
+    # one product over all (image, position) pairs: per-image sums round differently
     dymat = dout.transpose(0, 2, 3, 1).reshape(b * ho * wo, n)
-    dw = (cols.T @ dymat).reshape(kernel.weights.shape)
-    dcols = dymat @ kernel.weights.reshape(k * k * m, n).T
-    dcols = dcols.reshape(b, ho, wo, k, k, m).transpose(0, 5, 1, 2, 3, 4)
+    dw = cols.transpose(1, 0, 2).reshape(k * k * m, b * ho * wo) @ dymat
+    dcols = np.matmul(kernel.weights.reshape(k * k * m, n), dout.reshape(b, n, ho * wo))
+    dcols = dcols.reshape(b, k, k, m, ho, wo)
     dxp = np.zeros((b, m, h + 2 * p, w + 2 * p), dtype=x.dtype)
     for ki in range(k):
         for kj in range(k):
-            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, :, :, ki, kj]
+            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, ki, kj]
     dx = dxp[:, :, p:p + h, p:p + w] if p else dxp
-    return dx, dw
+    return dx, dw.reshape(kernel.weights.shape)
 
 
 def conv2d_depthwise(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
@@ -202,8 +205,9 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str = "train")
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
                          f"batch norm expects {state.gamma.shape[0]}")
     if mode == "train":
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = x.var(axis=(0, 2, 3), mean=mean)     # reuses the mean's reduction
+        mean = mean.reshape(-1)
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
         m = state.momentum
         state.running_mean[:] = m * state.running_mean + (1 - m) * mean
@@ -243,12 +247,12 @@ def batchnorm_backward(dout: np.ndarray, cache):
     return dx.astype(x.dtype, copy=False), dgamma, dbeta
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
-def relu_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return dout * (x > 0)
+def relu_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.multiply(dout, x > 0, out=out)
 
 
 def avgpool2x2(x: np.ndarray) -> np.ndarray:
@@ -256,13 +260,18 @@ def avgpool2x2(x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
-    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    r = x.reshape(b, c, h // 2, 2, w // 2, 2)
+    # only this pairing rounds exactly as r.mean(axis=(3, 5)) does
+    return ((r[:, :, :, 0, :, 0] + r[:, :, :, 0, :, 1])
+            + (r[:, :, :, 1, :, 0] + r[:, :, :, 1, :, 1])) * x.dtype.type(0.25)
 
 
 def avgpool2x2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     b, c, h, w = x.shape
-    dx = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) * x.dtype.type(0.25)
-    return dx.astype(x.dtype, copy=False)
+    dx = np.empty(x.shape, dtype=x.dtype)
+    dx.reshape(b, c, h // 2, 2, w // 2, 2)[...] = \
+        (dout * x.dtype.type(0.25))[:, :, :, None, :, None]
+    return dx
 
 
 def global_avgpool(x: np.ndarray) -> np.ndarray:

@@ -91,11 +91,22 @@ def _read_cifar_records(path: str):
 
 
 def _standardize_stats(images_u8: np.ndarray):
-    scaled = images_u8.astype(np.float64) / 255.0
-    mean = scaled.mean(axis=(0, 2, 3))
-    std = scaled.std(axis=(0, 2, 3))
-    std = np.maximum(std, 1e-8)
-    return mean.astype(np.float32), std.astype(np.float32)
+    """Per-channel float32 mean and std of the [0, 1]-scaled images, from exact sums.
+
+    x and x^2 (x^2 fits uint16) are summed in int64 a chunk of records at a
+    time, so no float copy of the split is made, then combined in Python ints,
+    because n * sum(x^2) overflows int64 at CIFAR size.
+    """
+    s1, s2 = np.zeros((2, images_u8.shape[1]), dtype=np.int64)
+    for i in range(0, len(images_u8), 1024):
+        x = images_u8[i:i + 1024].astype(np.uint16)
+        s1 += x.sum(axis=(0, 2, 3), dtype=np.int64)
+        x *= x
+        s2 += x.sum(axis=(0, 2, 3), dtype=np.int64)
+    n = images_u8.size // images_u8.shape[1]
+    mean = [int(a) / (255 * n) for a in s1]
+    var = [(n * int(q) - int(a) ** 2) / (255 * n) ** 2 for a, q in zip(s1, s2)]
+    return np.array(mean, dtype=np.float32), np.maximum(np.sqrt(var), 1e-8).astype(np.float32)
 
 
 def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:

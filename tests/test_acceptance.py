@@ -10,6 +10,7 @@ import os
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from gradcheck import check_block_gradients, fd_gradient, max_rel_error
 from shiftnet import ops
@@ -384,6 +385,7 @@ def _cifar_subset(tmp_path):
     return train_ds, False
 
 
+@pytest.mark.slow
 def test_criterion_08a_synthetic_overfit():
     net = build_shiftresnet(20, 1, num_classes=10, seed=0)
     ds = synth_dataset(256, 10, seed=3)
@@ -402,6 +404,7 @@ def test_criterion_08a_synthetic_overfit():
     assert late < 0.01 * early
 
 
+@pytest.mark.slow
 def test_criterion_08b_cifar_subset(tmp_path):
     full, is_real = _cifar_subset(tmp_path)
     subset = Dataset(full.images[:2000], full.labels[:2000], "train",

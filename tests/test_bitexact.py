@@ -1,0 +1,206 @@
+"""The train path against the formulations it replaced, bit for bit.
+
+Each oracle below is an earlier, plainer formulation of a train-path kernel.
+The kernels in `ops`, `shift` and `pipeline` now move less memory, but they
+must round exactly as these do: checkpoints, losses and the acceptance lines
+depend on it (criterion 8a's loss ratio moves with the summation order of
+the train path). So every comparison here is `array_equal`, never a
+tolerance. The convolution cases use the layer shapes the builders train.
+
+The aliasing tests pin the in-place rule of `blocks`: layers may overwrite
+arrays they own, but no block and no network writes to its `x` or `dout`.
+"""
+
+import numpy as np
+import pytest
+
+from shiftnet import ops
+from shiftnet.blocks import BasicBlock, CscBlock, CscConfig, SeedStream
+from shiftnet.nets import build_resnet, build_shiftresnet, reduce_resnet
+from shiftnet.ops import BatchNormState, ConvKernel
+from shiftnet.pipeline import _standardize_stats
+from shiftnet.shift import channel_groups, make_shift_spec, shift_forward
+
+
+def avgpool_oracle(x):
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+
+
+def avgpool_backward_oracle(dout, x):
+    dx = np.repeat(np.repeat(dout, 2, axis=2), 2, axis=3) * x.dtype.type(0.25)
+    return dx.astype(x.dtype, copy=False)
+
+
+def im2col_oracle(x, k, stride, padding):
+    b, c, h, w = x.shape
+    ho = ops.out_size(h, k, stride, padding)
+    wo = ops.out_size(w, k, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 4, 5, 1)
+    return cols.reshape(b * ho * wo, k * k * c), (ho, wo)
+
+
+def conv_oracle(x, kernel):
+    k, _, m, n = kernel.weights.shape
+    cols, (ho, wo) = im2col_oracle(x, k, kernel.stride, kernel.padding)
+    y = cols @ kernel.weights.reshape(k * k * m, n)
+    return y.reshape(x.shape[0], ho, wo, n).transpose(0, 3, 1, 2).copy()
+
+
+def conv_backward_oracle(dout, x, kernel):
+    k, _, m, n = kernel.weights.shape
+    s, p = kernel.stride, kernel.padding
+    b, _, h, w = x.shape
+    ho, wo = dout.shape[2], dout.shape[3]
+    cols, _ = im2col_oracle(x, k, s, p)
+    dymat = dout.transpose(0, 2, 3, 1).reshape(b * ho * wo, n)
+    dw = (cols.T @ dymat).reshape(kernel.weights.shape)
+    dcols = dymat @ kernel.weights.reshape(k * k * m, n).T
+    dcols = dcols.reshape(b, ho, wo, k, k, m).transpose(0, 5, 1, 2, 3, 4)
+    dxp = np.zeros((b, m, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    for ki in range(k):
+        for kj in range(k):
+            dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, :, :, ki, kj]
+    return (dxp[:, :, p:p + h, p:p + w] if p else dxp), dw
+
+
+def batchnorm_train_oracle(x, state):
+    mean = x.mean(axis=(0, 2, 3))
+    var = x.var(axis=(0, 2, 3))
+    inv_std = (1.0 / np.sqrt(var + state.epsilon)).astype(x.dtype)
+    scale = state.gamma * inv_std
+    y = x * scale.reshape(1, -1, 1, 1)
+    y += (state.beta - scale * mean).reshape(1, -1, 1, 1)
+    m = state.momentum
+    running_var = m * state.running_var + (1 - m) * var
+    return y, mean, inv_std, running_var
+
+
+def shift_oracle(x, spec):
+    _, _, h, w = x.shape
+    out = np.zeros_like(x)
+    for (dy, dx), chans in channel_groups(spec):
+        r0, r1 = max(0, -dy), min(h, h - dy)
+        c0, c1 = max(0, -dx), min(w, w - dx)
+        if r0 < r1 and c0 < c1:
+            out[:, chans, r0:r1, c0:c1] = x[:, chans, r0 + dy:r1 + dy, c0 + dx:c1 + dx]
+    return out
+
+
+def stats_oracle(images_u8):
+    scaled = images_u8.astype(np.float64) / 255.0
+    std = np.maximum(scaled.std(axis=(0, 2, 3)), 1e-8)
+    return scaled.mean(axis=(0, 2, 3)).astype(np.float32), std.astype(np.float32)
+
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("shape", [(32, 16, 32, 32), (32, 64, 8, 8), (3, 6, 4, 4)])
+    def test_avgpool(self, shape):
+        rng = np.random.default_rng(1)
+        x = _f32(rng, *shape)
+        y = ops.avgpool2x2(x)
+        assert y.dtype == x.dtype and np.array_equal(y, avgpool_oracle(x))
+        dout = _f32(rng, *y.shape)
+        assert np.array_equal(ops.avgpool2x2_backward(dout, x),
+                              avgpool_backward_oracle(dout, x))
+
+    # the stem (3x3/s1), a strided resnet conv (3x3/s2), a shiftnet stem (7x7/s2)
+    @pytest.mark.parametrize("m,n,k,stride,side", [(3, 16, 3, 1, 32), (16, 32, 3, 2, 32),
+                                                   (3, 32, 7, 2, 32)])
+    def test_conv2d_spatial(self, m, n, k, stride, side):
+        rng = np.random.default_rng(m * n + k)
+        x = _f32(rng, 32, m, side, side)
+        kernel = ConvKernel(_f32(rng, k, k, m, n), stride, k // 2)
+        y = ops.conv2d_spatial(x, kernel)
+        assert np.array_equal(y, conv_oracle(x, kernel))
+        dout = _f32(rng, *y.shape)
+        dx, dw = ops.conv2d_spatial_backward(dout, x, kernel)
+        want_dx, want_dw = conv_backward_oracle(dout, x, kernel)
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dw, want_dw)
+
+    @pytest.mark.parametrize("shape", [(32, 16, 32, 32), (32, 64, 8, 8)])
+    def test_batchnorm_train(self, shape):
+        rng = np.random.default_rng(2)
+        x = _f32(rng, *shape) * 3 + 1
+        state = BatchNormState.create(shape[1])
+        state.gamma[:] = rng.uniform(0.5, 2.0, shape[1])
+        want_y, want_mean, want_inv_std, want_running_var = \
+            batchnorm_train_oracle(x, state)
+        y, (_, _, mean, inv_std, _) = ops.batchnorm_forward(x, state, "train")
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(inv_std, want_inv_std)       # var, through 1/sqrt
+        assert np.array_equal(state.running_var, want_running_var.astype(np.float32))
+
+    @pytest.mark.parametrize("channels,kernel,dilation,perm,side", [
+        (18, 3, 2, 0, 8),      # dilation 2
+        (20, 3, 1, 5, 6),      # permuted spec: groups are index arrays
+        (25, 5, 2, 3, 3),      # displacements past the plane: whole groups vacate
+    ])
+    def test_shift_forward(self, channels, kernel, dilation, perm, side):
+        rng = np.random.default_rng(channels)
+        spec = make_shift_spec(channels, kernel, dilation, perm)
+        x = _f32(rng, 4, channels, side, side)
+        assert np.array_equal(shift_forward(x, spec), shift_oracle(x, spec))
+
+    def test_standardize_stats(self):
+        rng = np.random.default_rng(3)
+        sets = [rng.integers(0, 256, size=(2500, 3, 8, 8), dtype=np.uint8)]  # 3 chunks
+        for _ in range(200):
+            n, c, h = rng.integers(1, 40), rng.integers(1, 5), rng.integers(1, 9)
+            lo = rng.integers(0, 256)
+            hi = rng.integers(lo, 256) + 1
+            sets.append(rng.integers(lo, hi, size=(n, c, h, h), dtype=np.uint8))
+        for images in sets:
+            mean, std = _standardize_stats(images)
+            want_mean, want_std = stats_oracle(images)
+            assert mean.dtype == std.dtype == np.float32
+            assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+
+
+BLOCKS = {
+    "csc_s1": lambda: CscBlock(CscConfig(4, 4, 2.0), SeedStream(1)),
+    "csc_s2_add": lambda: CscBlock(CscConfig(4, 8, 2.0, stride=2), SeedStream(1)),
+    "csc_s2_concat": lambda: CscBlock(CscConfig(4, 8, 2.0, stride=2, downsample="concat"),
+                                      SeedStream(1)),
+    "csc_s2_main_only": lambda: CscBlock(CscConfig(4, 4, 2.0, stride=2), SeedStream(1)),
+    "sc2_s1": lambda: CscBlock(CscConfig(4, 4, 2.0, variant="sc2"), SeedStream(1)),
+    "basic_s1": lambda: BasicBlock(4, 4, 1, SeedStream(2)),
+    "basic_s2_double": lambda: BasicBlock(4, 8, 2, SeedStream(2)),
+    "basic_s2_zero_pad": lambda: BasicBlock(4, 6, 2, SeedStream(2)),
+}
+NETS = {
+    "shiftresnet20-1": lambda: build_shiftresnet(20, 1, seed=1),
+    "resnet20": lambda: build_resnet(20, seed=1),
+    "reduced-net-wise": lambda: reduce_resnet(20, 100000, "net_wise", seed=1),
+}
+
+
+def _assert_leaves_inputs_alone(layer, x):
+    rng = np.random.default_rng(6)
+    x_before = x.copy()
+    y = layer.forward(x, "train")
+    assert np.array_equal(x, x_before), "forward wrote to its input"
+    dout = rng.normal(size=y.shape).astype(np.float32)
+    dout_before = dout.copy()
+    layer.backward(dout)
+    assert np.array_equal(dout, dout_before), "backward wrote to its dout"
+
+
+class TestNoWritesToInputs:
+    @pytest.mark.parametrize("name", BLOCKS)
+    def test_block(self, name):
+        x = _f32(np.random.default_rng(4), 2, 4, 6, 6)
+        _assert_leaves_inputs_alone(BLOCKS[name](), x)
+
+    @pytest.mark.parametrize("name", NETS)
+    def test_network(self, name):
+        x = _f32(np.random.default_rng(5), 2, 3, 32, 32)
+        _assert_leaves_inputs_alone(NETS[name](), x)
