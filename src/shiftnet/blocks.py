@@ -6,9 +6,11 @@ state_arrays() and cost_entries(name, in_shape).
 * Atomic layers (`Conv`, shift, batch norm, ReLU, pools, linear) subclass
   `Layer`. Each declares only its own parameters (`param_names`) and at
   most one cost entry, and caches the last forward inputs for the matching
-  backward call. `Conv` is the one convolution layer: k = 1 is the 1x1.
-  A cost entry names only the layer's kind and shape; `accounting` alone
-  turns that into parameter and MAC counts.
+  backward call, which follows a train-mode forward only (`nets.Network`
+  runs eval in slices, after which caches hold just the last slice).
+  `Conv` is the one convolution layer: k = 1 is the 1x1. A cost entry
+  names only the layer's kind and shape; `accounting` alone turns that
+  into parameter and MAC counts.
 * Composites (`StemConv`, `CscBlock`, `BasicBlock`, and `nets.Network` over
   its layer list) subclass `Composite` and list their children in order:
   children order is forward order. The generic walk then supplies params,
@@ -105,6 +107,13 @@ def downsample_combine_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
     return ops.avgpool2x2_backward(dout[:, :c] + dout[:, c:], x)
 
 
+def run_layers(layers, x, mode):
+    """Forward x through (name, layer) pairs in order."""
+    for _, layer in layers:
+        x = layer.forward(x, mode)
+    return x
+
+
 class Layer:
     """Atomic layer: declares its own parameters and at most one cost entry."""
 
@@ -134,9 +143,7 @@ class Composite:
         return [(c, getattr(self, c)) for c in self.child_names]
 
     def forward(self, x, mode="train"):
-        for _, layer in self.children():
-            x = layer.forward(x, mode)
-        return x
+        return run_layers(self.children(), x, mode)
 
     def backward(self, dout):
         for _, layer in reversed(self.children()):

@@ -24,13 +24,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .accounting import count_params
 from .blocks import (BasicBlock, Composite, CscBlock, CscConfig, GlobalAvgPool,
-                     Linear, SeedStream, Shift, StemConv, round_half_up)
+                     Linear, SeedStream, Shift, StemConv, round_half_up,
+                     run_layers)
 from .shift import make_shift_spec
 from .tensor import REAL
 
 VALID_DEPTHS = (20, 56, 110)
+
+# Images per slice of an eval forward: one slice's activations stay in cache
+# (sweep of 8-64 in BENCH_eval.json; README "Eval runs in slices").
+EVAL_SLICE = 16
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,13 @@ class ArchRow:
 
 
 class Network(Composite):
-    """An ordered stack of layers/blocks: the composite walk over `layers`."""
+    """An ordered stack of layers/blocks: the composite walk over `layers`.
+
+    An eval forward runs the body (up to the last global pool) EVAL_SLICE
+    images at a time and the head once; eval is per image, so the logits are
+    bit-identical to one pass. `backward` follows a train-mode forward only:
+    after an eval forward, layer caches hold just the last slice.
+    """
 
     def __init__(self, name: str, rows: list[ArchRow], num_classes: int,
                  seed: int = 0, input_channels: int = 3, dtype=REAL):
@@ -69,9 +82,20 @@ class Network(Composite):
                 lname, layer, width = _make_layer(row, width, num_classes,
                                                   counters, seeds, dtype)
                 self.layers.append((lname, layer))
+        # the body (stem, blocks, global pool) is per image; the head is not
+        self._body_end = max((i + 1 for i, (_, layer) in enumerate(self.layers)
+                              if isinstance(layer, GlobalAvgPool)), default=0)
 
     def children(self):
         return self.layers
+
+    def forward(self, x, mode="train"):
+        if mode != "eval" or len(x) <= EVAL_SLICE or not self._body_end:
+            return super().forward(x, mode)
+        body, head = self.layers[:self._body_end], self.layers[self._body_end:]
+        h = np.concatenate([run_layers(body, x[i:i + EVAL_SLICE], mode)
+                            for i in range(0, len(x), EVAL_SLICE)])
+        return run_layers(head, h, mode)
 
     def zero_grads(self):
         for _, p in self.params():

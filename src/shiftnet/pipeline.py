@@ -236,18 +236,26 @@ def _augment_batch(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _diagnose_nonfinite(net: Network, x: np.ndarray) -> str:
-    """Name of the first tensor (input, parameter or activation) that is non-finite."""
+    """Name of the first tensor (input, parameter or activation) that is non-finite.
+
+    Batch-norm running stats moved by the train-mode re-run are put back.
+    """
     for name, p in net.named_params():
         if not np.all(np.isfinite(p.value)):
             return f"param {name}"
     if not np.all(np.isfinite(x)):
         return "input batch"
-    h = x
-    for lname, layer in net.layers:
-        h = layer.forward(h, "train")
-        if not np.all(np.isfinite(h)):
-            return f"activation {lname}"
-    return "loss"
+    saved = [a.copy() for _, a in net.named_state()]
+    try:
+        h = x
+        for lname, layer in net.layers:
+            h = layer.forward(h, "train")
+            if not np.all(np.isfinite(h)):
+                return f"activation {lname}"
+        return "loss"
+    finally:
+        for (_, a), old in zip(net.named_state(), saved):
+            a[...] = old
 
 
 def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
@@ -291,7 +299,11 @@ def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
 
 
 def evaluate(net: Network, dataset: Dataset, batch_size: int = 256):
-    """Eval-mode top-1 accuracy and mean loss over a dataset."""
+    """Eval-mode top-1 accuracy and mean loss over a dataset.
+
+    Batches run in slices (`nets.Network`), after which layer caches hold only
+    the last slice: `backward` follows a train-mode forward only.
+    """
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")
@@ -344,6 +356,8 @@ def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:
     """
     with open(path) as f:
         manifest = json.load(f)
+    if manifest.get("format") != 1:
+        raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
     with open(_blob_path(path), "rb") as f:
         blob = f.read()
     net = rebuild(manifest["config"], dtype=dtype)

@@ -8,6 +8,7 @@ so concurrent reads of shared tensors are safe.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -62,9 +63,10 @@ def blob_load(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     shape4 = _BLOB_HEADER.unpack_from(buf, offset)
     if any(d < 0 for d in shape4):
         raise ValueError(f"corrupt blob header: shape {shape4}")
-    count = int(np.prod(shape4))
+    # Python ints: np.prod wraps, e.g. (2**32, 2**32, 1, 1) to 0
+    count = math.prod(shape4)
     nbytes = 4 * count
-    if end + nbytes > len(buf):
+    if nbytes > len(buf) - end:
         raise ValueError(f"blob payload of {nbytes} bytes exceeds buffer")
     arr = np.frombuffer(buf, dtype="<f4", count=count, offset=end).reshape(shape4)
     return arr.astype(np.float32), end + nbytes

@@ -5,7 +5,8 @@ from shiftnet.analysis import (ActivationTrace, contribution_norms,
                                contributions_to_csv, correlation_matrix,
                                correlations_to_csv, group_contribution_norms,
                                record_activations)
-from shiftnet.nets import build_shiftresnet
+from shiftnet.blocks import Composite
+from shiftnet.nets import EVAL_SLICE, Network, build_shiftresnet
 from shiftnet.pipeline import TrainSchedule, synth_dataset, train
 from shiftnet.shift import group_index, make_shift_spec
 
@@ -165,6 +166,17 @@ class TestRecording:
         # block.shift.forward is restored after recording
         assert block.shift.forward == forward
         assert "forward" not in vars(block.shift)
+
+    def test_sliced_eval_records_as_one_pass(self, trained, monkeypatch):
+        net, ds = trained
+        n = 2 * EVAL_SLICE + 1
+        big = synth_dataset(n, 10, seed=3)
+        sliced = record_activations(net, big, "group2.block1", max_images=n,
+                                    batch_size=n)
+        monkeypatch.setattr(Network, "forward", Composite.forward)
+        whole = record_activations(net, big, "group2.block1", max_images=n,
+                                   batch_size=n)
+        assert np.array_equal(sliced.samples, whole.samples)
 
     def test_unknown_module(self, trained):
         net, ds = trained

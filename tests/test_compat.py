@@ -13,12 +13,14 @@ format is changed on purpose, regenerate them with `digests()` and say why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from shiftnet.accounting import cost_report, report_to_csv
 from shiftnet.blocks import Composite
-from shiftnet.nets import (ArchRow, Network, build_resnet, build_shiftnet,
-                           build_shiftresnet, dump_config, reduce_resnet)
+from shiftnet.nets import (EVAL_SLICE, ArchRow, Network, build_resnet,
+                           build_shiftnet, build_shiftresnet, dump_config,
+                           reduce_resnet)
 from shiftnet.pipeline import save_checkpoint
 
 
@@ -143,3 +145,18 @@ EXPECTED = {
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_formats_unchanged(name, tmp_path):
     assert digests(BUILDERS[name](), tmp_path) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_sliced_eval_matches_one_pass(name):
+    """An eval forward in slices of EVAL_SLICE images gives the logits of one
+    `Composite.forward` pass bit for bit, and leaves its input as given."""
+    net = BUILDERS[name]()
+    rng = np.random.default_rng(5)
+    net.forward(rng.normal(size=(4, 3, 32, 32)).astype(np.float32), "train")
+    for n in (1, EVAL_SLICE, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
+        x = rng.normal(size=(n, 3, 32, 32)).astype(np.float32)
+        given = x.copy()
+        sliced = net.forward(x, "eval")
+        assert np.array_equal(x, given)
+        assert np.array_equal(sliced, Composite.forward(net, x, "eval")), n

@@ -4,11 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from shiftnet.nets import build_shiftresnet
+from shiftnet.blocks import Composite
+from shiftnet.nets import EVAL_SLICE, Network, build_shiftresnet
 from shiftnet.pipeline import (Dataset, TrainingDiverged, TrainLog,
-                               TrainSchedule, evaluate, load_checkpoint,
-                               load_cifar10, lr_at, save_checkpoint,
-                               synth_dataset, train, write_cifar10_batches)
+                               TrainSchedule, _diagnose_nonfinite, evaluate,
+                               load_checkpoint, load_cifar10, lr_at,
+                               save_checkpoint, synth_dataset, train,
+                               write_cifar10_batches)
 
 
 def _toy_cifar_dir(tmp_path, n=40, seed=0):
@@ -168,6 +170,17 @@ class TestTraining:
                 TrainingDiverged, match="first non-finite tensor"):
             train(net, ds, _tiny_sched(1))
 
+    def test_diagnosis_leaves_state_untouched(self):
+        net = build_shiftresnet(20, 1, seed=1)
+        x, _ = synth_dataset(8, 4, seed=1).batch(np.arange(8))
+        dict(net.named_params())["group1.block0.bn1.gamma"].value[:] = 1e38
+        before = [a.copy() for _, a in net.named_state()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            culprit = _diagnose_nonfinite(net, x)
+        assert culprit == "activation group1.block0"
+        for (name, a), old in zip(net.named_state(), before):
+            assert np.array_equal(a, old), name
+
     def test_empty_dataset(self):
         ds = synth_dataset(8, 4, seed=0)
         empty = Dataset(ds.images[:0], ds.labels[:0], "train", 4)
@@ -230,6 +243,14 @@ class TestEvaluate:
             if "running" in n:
                 assert np.array_equal(a, stats[n]), n
 
+    def test_sliced_eval_scores_as_one_pass(self, monkeypatch):
+        net = _tiny_net(seed=6)
+        ds = synth_dataset(2 * EVAL_SLICE + 1, 4, seed=6)
+        train(net, ds, _tiny_sched(2))
+        sliced = evaluate(net, ds)
+        monkeypatch.setattr(Network, "forward", Composite.forward)
+        assert sliced == evaluate(net, ds)
+
 
 class TestCheckpoints:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -276,7 +297,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     @staticmethod
-    def _tamper(tmp_path, edit_entries=None, extra_blob=b""):
+    def _tamper(tmp_path, edit_entries=None, extra_blob=b"", edit_manifest=None):
         path = str(tmp_path / "ck.json")
         save_checkpoint(_tiny_net(), path)
         with open(path) as f:
@@ -284,11 +305,19 @@ class TestCheckpoints:
         if edit_entries:
             edit_entries({e["name"]: e for e in manifest["entries"]},
                          manifest["entries"])
+        if edit_manifest:
+            edit_manifest(manifest)
         with open(path, "w") as f:
             json.dump(manifest, f)
         with open(path + ".blob", "ab") as f:
             f.write(extra_blob)
         return path
+
+    def test_unknown_format_rejected(self, tmp_path):
+        def bump_format(manifest):
+            manifest["format"] = 2
+        with pytest.raises(ValueError, match="format 2"):
+            load_checkpoint(self._tamper(tmp_path, edit_manifest=bump_format))
 
     def test_duplicated_offset_rejected(self, tmp_path):
         def alias(by_name, _):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,6 @@ class TestBlobFormat:
         assert len(blob) == 32 + 24 * 4
 
     def test_values_little_endian_f32(self):
-        import struct
         blob = blob_dump(np.array([1.0], dtype=np.float32))
         assert blob[32:] == struct.pack("<f", 1.0)
 
@@ -70,6 +71,13 @@ class TestBlobFormat:
         blob = blob_dump(np.ones((2, 2), dtype=np.float32))
         with pytest.raises(ValueError, match="exceeds buffer"):
             blob_load(blob[:-4])
+
+    @pytest.mark.parametrize("shape", [(2**32, 2**32, 1, 1), (2**31, 2**31, 4, 1)])
+    def test_wrapping_element_count_rejected(self, shape):
+        # the count's int64 product wraps to 0; the payload must still be checked
+        header = struct.pack("<4q", *shape)
+        with pytest.raises(ValueError, match="exceeds buffer"):
+            blob_load(header + b"\0" * 16)
 
     def test_truncated_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
