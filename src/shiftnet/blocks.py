@@ -5,9 +5,9 @@ state_arrays() and cost_entries(name, in_shape).
 
 * Atomic layers (`Conv`, shift, batch norm, ReLU, pools, linear) subclass
   `Layer`. Each declares only its own parameters (`param_names`) and at
-  most one cost entry, and caches the last forward inputs for the matching
-  backward call, which follows a train-mode forward only (`nets.Network`
-  runs eval in slices, after which caches hold just the last slice).
+  most one cost entry. Only a train-mode forward caches what `backward`
+  reads: after an eval forward the layers hold no arrays, so each
+  activation is freed once the next layer has read it.
   `Conv` is the one convolution layer: k = 1 is the 1x1. A cost entry
   names only the layer's kind and shape; `accounting` alone turns that
   into parameter and MAC counts.
@@ -198,7 +198,7 @@ class Conv(Layer):
         return ConvKernel(self.weight.value, self.stride, self.padding)
 
     def forward(self, x, mode="train"):
-        self._x = x
+        self._x = x if mode == "train" else None
         return self._ops[0](x, self._kernel())
 
     def backward(self, dout):
@@ -252,7 +252,8 @@ class BatchNorm(Layer):
         self._cache = None
 
     def forward(self, x, mode="train"):
-        y, self._cache = ops.batchnorm_forward(x, self.state, mode)
+        y, cache = ops.batchnorm_forward(x, self.state, mode)
+        self._cache = cache if mode == "train" else None
         return y
 
     def backward(self, dout):
@@ -273,7 +274,7 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    """In-place rectifier; `_x` holds the output, positive where the input was."""
+    """In-place rectifier; a train forward keeps its output (> 0 where x was) in `_x`."""
 
     kind = "relu"
 
@@ -281,8 +282,9 @@ class ReLU(Layer):
         self._x = None
 
     def forward(self, x, mode="train"):
-        self._x = ops.relu(x, out=x)
-        return self._x
+        y = ops.relu(x, out=x)
+        self._x = y if mode == "train" else None
+        return y
 
     def backward(self, dout):
         return ops.relu_backward(dout, self._x, out=dout)
@@ -297,7 +299,7 @@ class GlobalAvgPool(Layer):
         self._x = None
 
     def forward(self, x, mode="train"):
-        self._x = x
+        self._x = x if mode == "train" else None
         return ops.global_avgpool(x)
 
     def backward(self, dout):
@@ -322,7 +324,7 @@ class Linear(Layer):
         self._x = None
 
     def forward(self, x, mode="train"):
-        self._x = x
+        self._x = x if mode == "train" else None
         return ops.fc_forward(x, self.weight.value, self.bias.value)
 
     def backward(self, dout):
@@ -438,7 +440,7 @@ class CscBlock(Composite):
 
     def forward(self, x, mode="train"):
         cfg = self.cfg
-        self._x = x
+        self._x = x if mode == "train" else None
         main = super().forward(x, mode)
         if cfg.stride == 1:
             main += x
@@ -516,7 +518,7 @@ class BasicBlock(Composite):
         return ops.avgpool2x2_backward(dout[:, :self.in_channels], x)
 
     def forward(self, x, mode="train"):
-        self._x = x
+        self._x = x if mode == "train" else None
         main = super().forward(x, mode)
         main += self._shortcut(x)
         return main

@@ -62,8 +62,9 @@ class Network(Composite):
 
     An eval forward runs the body (up to the last global pool) EVAL_SLICE
     images at a time and the head once; eval is per image, so the logits are
-    bit-identical to one pass. `backward` follows a train-mode forward only:
-    after an eval forward, layer caches hold just the last slice.
+    bit-identical to one pass. Only a train-mode forward leaves the caches
+    that `backward` reads (eval leaves the layers holding nothing), so
+    `backward` raises RuntimeError unless the last forward was in train mode.
     """
 
     def __init__(self, name: str, rows: list[ArchRow], num_classes: int,
@@ -85,17 +86,25 @@ class Network(Composite):
         # the body (stem, blocks, global pool) is per image; the head is not
         self._body_end = max((i + 1 for i, (_, layer) in enumerate(self.layers)
                               if isinstance(layer, GlobalAvgPool)), default=0)
+        self._mode = None            # mode of the last forward
 
     def children(self):
         return self.layers
 
     def forward(self, x, mode="train"):
+        self._mode = mode
         if mode != "eval" or len(x) <= EVAL_SLICE or not self._body_end:
             return super().forward(x, mode)
         body, head = self.layers[:self._body_end], self.layers[self._body_end:]
         h = np.concatenate([run_layers(body, x[i:i + EVAL_SLICE], mode)
                             for i in range(0, len(x), EVAL_SLICE)])
         return run_layers(head, h, mode)
+
+    def backward(self, dout):
+        if self._mode != "train":
+            raise RuntimeError(f"backward needs a train-mode forward first; the "
+                               f"last forward ran in mode {self._mode!r}")
+        return super().backward(dout)
 
     def zero_grads(self):
         for _, p in self.params():

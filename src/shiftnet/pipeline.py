@@ -30,6 +30,8 @@ from .nets import Network, rebuild
 from .tensor import REAL, blob_dump, blob_load
 
 _CIFAR10_RECORD = 3073
+# Records read or written per chunk, so no whole-split buffer is made.
+_CHUNK_RECORDS = 1024
 
 
 class TrainingDiverged(RuntimeError):
@@ -76,33 +78,47 @@ class Dataset:
         return x, self.labels[idx].astype(np.int64)
 
 
-def _read_cifar_records(path: str):
+def _read_cifar_records(paths: list[str]):
+    """uint8 pixels and int64 labels of the files' records, read a chunk at a time."""
     record = _CIFAR10_RECORD
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) == 0 or len(raw) % record != 0:
-        raise ValueError(f"{path}: size {len(raw)} is not a multiple of the "
-                         f"{record}-byte record")
-    n = len(raw) // record
-    buf = np.frombuffer(raw, dtype=np.uint8).reshape(n, record)
-    labels = buf[:, 0].astype(np.int64)
-    pixels = buf[:, 1:].reshape(n, 3, 32, 32)
+    counts = []
+    for path in paths:
+        size = os.path.getsize(path)
+        if size == 0 or size % record != 0:
+            raise ValueError(f"{path}: size {size} is not a multiple of the "
+                             f"{record}-byte record")
+        counts.append(size // record)
+    pixels = np.empty((sum(counts), 3, 32, 32), dtype=np.uint8)
+    labels = np.empty(sum(counts), dtype=np.int64)
+    buf = np.empty((min(_CHUNK_RECORDS, max(counts)), record), dtype=np.uint8)
+    at = 0
+    for path, count in zip(paths, counts):
+        with open(path, "rb") as f:
+            for start in range(0, count, _CHUNK_RECORDS):
+                chunk = buf[:min(_CHUNK_RECORDS, count - start)]
+                if f.readinto(chunk) != chunk.nbytes:
+                    raise ValueError(f"{path}: short read at record {start}")
+                labels[at:at + len(chunk)] = chunk[:, 0]
+                pixels[at:at + len(chunk)] = chunk[:, 1:].reshape(-1, 3, 32, 32)
+                at += len(chunk)
     return pixels, labels
 
 
 def _standardize_stats(images_u8: np.ndarray):
     """Per-channel float32 mean and std of the [0, 1]-scaled images, from exact sums.
 
-    x and x^2 (x^2 fits uint16) are summed in int64 a chunk of records at a
-    time, so no float copy of the split is made, then combined in Python ints,
+    x and x^2 (x^2 fits uint16) are summed in int64 half a read chunk at a
+    time, so no copy outgrows the read buffer, then combined in Python ints,
     because n * sum(x^2) overflows int64 at CIFAR size.
     """
     s1, s2 = np.zeros((2, images_u8.shape[1]), dtype=np.int64)
-    for i in range(0, len(images_u8), 1024):
-        x = images_u8[i:i + 1024].astype(np.uint16)
+    step = _CHUNK_RECORDS // 2
+    for i in range(0, len(images_u8), step):
+        x = images_u8[i:i + step].astype(np.uint16)
         s1 += x.sum(axis=(0, 2, 3), dtype=np.int64)
         x *= x
         s2 += x.sum(axis=(0, 2, 3), dtype=np.int64)
+        del x                    # before the next chunk's copy is made
     n = images_u8.size // images_u8.shape[1]
     mean = [int(a) / (255 * n) for a in s1]
     var = [(n * int(q) - int(a) ** 2) / (255 * n) ** 2 for a, q in zip(s1, s2)]
@@ -113,7 +129,8 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
     """Load the CIFAR-10 binary batches from `directory`.
 
     Expects data_batch_*.bin plus test_batch.bin. Standardization statistics
-    come from the train split and are shared with the test split.
+    come from the train split and are shared with the test split. Records go
+    straight into the final arrays, so the peak is those plus one chunk.
     """
     train_files = sorted(f for f in os.listdir(directory)
                          if f.startswith("data_batch") and f.endswith(".bin"))
@@ -122,31 +139,32 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
     test_path = os.path.join(directory, "test_batch.bin")
     if not os.path.exists(test_path):
         raise FileNotFoundError(f"missing test_batch.bin in {directory}")
-    parts = [_read_cifar_records(os.path.join(directory, f)) for f in train_files]
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
+    images, labels = _read_cifar_records([os.path.join(directory, f)
+                                          for f in train_files])
     mean, std = _standardize_stats(images)
     train = Dataset(images, labels, "train", 10, mean, std)
-    ti, tl = _read_cifar_records(test_path)
+    ti, tl = _read_cifar_records([test_path])
     test = Dataset(ti, tl, "test", 10, mean, std)
     return train, test
 
 
 def write_cifar10_batches(directory: str, images_u8: np.ndarray,
                           labels: np.ndarray, test_fraction: float = 0.2):
-    """Write images into the CIFAR-10 binary batch layout (for stand-in data)."""
+    """Write images into the CIFAR-10 binary batch layout, a chunk of records at a time."""
     os.makedirs(directory, exist_ok=True)
     n = len(labels)
     n_test = max(1, int(n * test_fraction))
-    order = {"data_batch_1.bin": slice(0, n - n_test),
-             "test_batch.bin": slice(n - n_test, n)}
-    for fname, sl in order.items():
-        img, lab = images_u8[sl], labels[sl]
-        rec = np.empty((len(lab), _CIFAR10_RECORD), dtype=np.uint8)
-        rec[:, 0] = lab
-        rec[:, 1:] = img.reshape(len(lab), -1)
+    order = {"data_batch_1.bin": range(0, n - n_test),
+             "test_batch.bin": range(n - n_test, n)}
+    rec = np.empty((min(_CHUNK_RECORDS, n), _CIFAR10_RECORD), dtype=np.uint8)
+    for fname, rows in order.items():
         with open(os.path.join(directory, fname), "wb") as f:
-            f.write(rec.tobytes())
+            for start in rows[::_CHUNK_RECORDS]:
+                stop = min(start + _CHUNK_RECORDS, rows.stop)
+                chunk = rec[:stop - start]
+                chunk[:, 0] = labels[start:stop]
+                chunk[:, 1:] = images_u8[start:stop].reshape(stop - start, -1)
+                f.write(chunk)
 
 
 def synth_dataset(n: int, classes: int, image_shape=(3, 32, 32),
@@ -301,8 +319,8 @@ def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
 def evaluate(net: Network, dataset: Dataset, batch_size: int = 256):
     """Eval-mode top-1 accuracy and mean loss over a dataset.
 
-    Batches run in slices (`nets.Network`), after which layer caches hold only
-    the last slice: `backward` follows a train-mode forward only.
+    Batches run in slices (`nets.Network`) and the eval forward leaves no
+    layer caches behind, so `net.backward` raises until a train-mode forward.
     """
     n = len(dataset)
     if n == 0:
@@ -325,7 +343,11 @@ def _blob_path(manifest_path: str) -> str:
 
 def save_checkpoint(net: Network, path: str, iteration: int = 0,
                     schedule: TrainSchedule | None = None):
-    """Write `path` (JSON manifest) and `path`.blob (raw tensors)."""
+    """Write `path` (JSON manifest) and `path`.blob (raw tensors).
+
+    Both are written to temp files, then moved into place blob first with
+    `os.replace`; a failed write leaves the old checkpoint and no temp file.
+    """
     entries = []
     blob = bytearray()
     for name, arr in net.named_state():
@@ -342,10 +364,18 @@ def save_checkpoint(net: Network, path: str, iteration: int = 0,
     }
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1)
-    with open(_blob_path(path), "wb") as f:
-        f.write(bytes(blob))
+    blob_tmp, manifest_tmp = _blob_path(path) + ".tmp", path + ".tmp"
+    try:
+        with open(blob_tmp, "wb") as f:
+            f.write(blob)
+        with open(manifest_tmp, "w") as f:
+            json.dump(manifest, f, indent=1)
+        os.replace(blob_tmp, _blob_path(path))
+        os.replace(manifest_tmp, path)
+    finally:
+        for temp in (blob_tmp, manifest_tmp):
+            if os.path.exists(temp):
+                os.remove(temp)
 
 
 def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:

@@ -7,9 +7,14 @@ depend on it (criterion 8a's loss ratio moves with the summation order of
 the train path). So every comparison here is `array_equal`, never a
 tolerance. The convolution cases use the layer shapes the builders train.
 
+The CIFAR reader and writer work a chunk of records at a time; the oracles
+read whole files and concatenate, and write the whole split with `tobytes`.
+
 The aliasing tests pin the in-place rule of `blocks`: layers may overwrite
 arrays they own, but no block and no network writes to its `x` or `dout`.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from shiftnet import ops
 from shiftnet.blocks import BasicBlock, CscBlock, CscConfig, SeedStream
 from shiftnet.nets import build_resnet, build_shiftresnet, reduce_resnet
 from shiftnet.ops import BatchNormState, ConvKernel
-from shiftnet.pipeline import _standardize_stats
+from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
 from shiftnet.shift import channel_groups, make_shift_spec, shift_forward
 
 
@@ -95,6 +100,35 @@ def stats_oracle(images_u8):
     return scaled.mean(axis=(0, 2, 3)).astype(np.float32), std.astype(np.float32)
 
 
+def read_records_oracle(path):
+    with open(path, "rb") as f:
+        raw = f.read()
+    buf = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3073)
+    return buf[:, 1:].reshape(-1, 3, 32, 32), buf[:, 0].astype(np.int64)
+
+
+def load_cifar10_oracle(directory):
+    names = sorted(f for f in os.listdir(directory) if f.startswith("data_batch"))
+    parts = [read_records_oracle(os.path.join(directory, f)) for f in names]
+    images = np.concatenate([p[0] for p in parts])
+    labels = np.concatenate([p[1] for p in parts])
+    test = read_records_oracle(os.path.join(directory, "test_batch.bin"))
+    return (images, labels), test, stats_oracle(images)
+
+
+def write_cifar10_oracle(directory, images_u8, labels, test_fraction=0.2):
+    os.makedirs(directory, exist_ok=True)
+    n = len(labels)
+    n_test = max(1, int(n * test_fraction))
+    for fname, sl in {"data_batch_1.bin": slice(0, n - n_test),
+                      "test_batch.bin": slice(n - n_test, n)}.items():
+        rec = np.empty((len(labels[sl]), 3073), dtype=np.uint8)
+        rec[:, 0] = labels[sl]
+        rec[:, 1:] = images_u8[sl].reshape(len(labels[sl]), -1)
+        with open(os.path.join(directory, fname), "wb") as f:
+            f.write(rec.tobytes())
+
+
 def _f32(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
 
@@ -163,6 +197,28 @@ class TestAgainstOracles:
             want_mean, want_std = stats_oracle(images)
             assert mean.dtype == std.dtype == np.float32
             assert np.array_equal(mean, want_mean) and np.array_equal(std, want_std)
+
+
+    # 2,600 records: the train file spans 3 read chunks, the last one partial
+    @pytest.mark.parametrize("n,fraction", [(2600, 0.2), (7, 0.3), (30, 0.5)])
+    def test_cifar_write_and_load(self, tmp_path, n, fraction):
+        rng = np.random.default_rng(n)
+        images = rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
+        labels = rng.integers(0, 10, size=n)
+        old, new = str(tmp_path / "old"), str(tmp_path / "new")
+        write_cifar10_oracle(old, images, labels, fraction)
+        write_cifar10_batches(new, images, labels, fraction)
+        for fname in ("data_batch_1.bin", "test_batch.bin"):
+            with open(os.path.join(old, fname), "rb") as a, \
+                    open(os.path.join(new, fname), "rb") as b:
+                assert a.read() == b.read(), fname
+        (images, labels), (ti, tl), (mean, std) = load_cifar10_oracle(old)
+        train, test = load_cifar10(new)
+        for got, want in ((train.images, images), (train.labels, labels),
+                          (test.images, ti), (test.labels, tl),
+                          (train.mean, mean), (train.std, std),
+                          (test.mean, mean), (test.std, std)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 BLOCKS = {

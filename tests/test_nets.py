@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,31 @@ class TestConfigRoundTrip:
             parse_config("type = csc\n")  # key before any section
         with pytest.raises(ValueError):
             parse_config("[net]\nname = x\n")  # no rows
+
+
+class TestEvalKeepsNoCaches:
+    def test_eval_forward_leaves_nothing_allocated(self):
+        # 64 images at batch width 48: one held 16-image slice is megabytes
+        net = build_shiftresnet(20, 3, seed=2)
+        x = np.random.default_rng(2).normal(size=(64, 3, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            logits = net.forward(x, "eval")
+            held = tracemalloc.get_traced_memory()[0] - before - logits.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20, f"{held} bytes held after an eval forward"
+
+    def test_backward_after_eval_forward_raises(self):
+        net = build_shiftresnet(20, 1, seed=3)
+        x = np.random.default_rng(3).normal(size=(2, 3, 32, 32)).astype(np.float32)
+        dout = np.ones((2, net.num_classes), dtype=np.float32)
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            net.backward(dout)                   # no forward yet
+        net.forward(x, "train")
+        net.forward(x, "eval")
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            net.backward(dout)
+        net.forward(x, "train")
+        assert net.backward(dout).shape == x.shape

@@ -1,9 +1,12 @@
 import json
 import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from shiftnet import pipeline
 from shiftnet.blocks import Composite
 from shiftnet.nets import EVAL_SLICE, Network, build_shiftresnet
 from shiftnet.pipeline import (Dataset, TrainingDiverged, TrainLog,
@@ -11,6 +14,8 @@ from shiftnet.pipeline import (Dataset, TrainingDiverged, TrainLog,
                                load_checkpoint, load_cifar10, lr_at,
                                save_checkpoint, synth_dataset, train,
                                write_cifar10_batches)
+
+CIFAR_RECORD = 1 + 3 * 32 * 32
 
 
 def _toy_cifar_dir(tmp_path, n=40, seed=0):
@@ -45,6 +50,68 @@ class TestCifarLoader:
             f.write(raw[:-100])
         with pytest.raises(ValueError, match="record"):
             load_cifar10(d)
+
+    def test_truncated_later_train_file_rejected(self, tmp_path):
+        d, *_ = _toy_cifar_dir(tmp_path)
+        with open(os.path.join(d, "data_batch_2.bin"), "wb") as f:
+            f.write(b"\0" * (CIFAR_RECORD + 1))
+        with pytest.raises(ValueError, match="data_batch_2.bin: size"):
+            load_cifar10(d)
+
+    def test_short_read_rejected(self, tmp_path, monkeypatch):
+        # a file that shrinks between sizing and reading comes back short
+        d, *_ = _toy_cifar_dir(tmp_path)
+        getsize = os.path.getsize
+        monkeypatch.setattr(pipeline.os.path, "getsize",
+                            lambda p: getsize(p) + CIFAR_RECORD)
+        with pytest.raises(ValueError, match="short read"):
+            load_cifar10(d)
+
+    @pytest.mark.parametrize("chunk", [7, 1024])
+    def test_split_train_files_load_as_one(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(pipeline, "_CHUNK_RECORDS", chunk)
+        d, *_ = _toy_cifar_dir(tmp_path, n=50)
+        with open(os.path.join(d, "data_batch_1.bin"), "rb") as f:
+            raw = f.read()
+        split = str(tmp_path / "split")
+        os.makedirs(split)
+        for i, (lo, hi) in enumerate([(0, 11), (11, 12), (12, 40)], start=1):
+            with open(os.path.join(split, f"data_batch_{i}.bin"), "wb") as f:
+                f.write(raw[lo * CIFAR_RECORD:hi * CIFAR_RECORD])
+        shutil.copy(os.path.join(d, "test_batch.bin"), split)
+        for one, many in zip(load_cifar10(d), load_cifar10(split)):
+            assert np.array_equal(one.images, many.images)
+            assert np.array_equal(one.labels, many.labels)
+            assert np.array_equal(one.mean, many.mean)
+            assert np.array_equal(one.std, many.std)
+
+    def test_load_peak_is_arrays_plus_one_chunk(self, tmp_path):
+        n = 2 * pipeline._CHUNK_RECORDS + 100
+        d, *_ = _toy_cifar_dir(tmp_path, n=n)
+        tracemalloc.start()
+        try:
+            train_ds, test_ds = load_cifar10(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for ds in (train_ds, test_ds)
+                     for a in (ds.images, ds.labels))
+        chunk = pipeline._CHUNK_RECORDS * CIFAR_RECORD
+        assert peak <= arrays + chunk + 2 ** 18, (peak, arrays, chunk)
+
+    def test_write_peak_is_one_chunk(self, tmp_path):
+        n = 2 * pipeline._CHUNK_RECORDS + 100
+        rng = np.random.default_rng(1)
+        images = rng.integers(0, 256, size=(n, 3, 32, 32), dtype=np.uint8)
+        labels = (np.arange(n) % 10).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            write_cifar10_batches(str(tmp_path / "w"), images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = pipeline._CHUNK_RECORDS * CIFAR_RECORD
+        assert peak <= chunk + 2 ** 18, (peak, chunk)
 
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -342,6 +409,33 @@ class TestCheckpoints:
             entries.append(dict(entries[-1]))
         with pytest.raises(ValueError, match="1 duplicate names"):
             load_checkpoint(self._tamper(tmp_path, duplicate))
+
+    def test_failed_manifest_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
+        net = _tiny_net(seed=9)
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(net, path)
+        saved = [a.copy() for _, a in net.named_state()]
+        train(net, synth_dataset(16, 4, seed=9), _tiny_sched(2))
+
+        def crash(obj, f, **kw):
+            f.write("{")                         # a half-written manifest
+            raise OSError("disk full")
+        monkeypatch.setattr(pipeline.json, "dump", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(net, path, iteration=2)
+        monkeypatch.undo()
+        clone, manifest = load_checkpoint(path)
+        assert manifest["iteration"] == 0
+        for (name, a), want in zip(clone.named_state(), saved):
+            assert np.array_equal(a, want), name
+        assert sorted(os.listdir(tmp_path)) == ["ck.json", "ck.json.blob"]
+
+    def test_save_over_a_checkpoint_leaves_no_temp_file(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        save_checkpoint(_tiny_net(seed=1), path)
+        save_checkpoint(_tiny_net(seed=2), path, iteration=5)
+        assert sorted(os.listdir(tmp_path)) == ["ck.json", "ck.json.blob"]
+        assert load_checkpoint(path)[1]["iteration"] == 5
 
     def test_evaluate_identical_after_round_trip(self, tmp_path):
         net = _tiny_net(seed=8)
