@@ -9,8 +9,9 @@ Two views of a module's intermediate channels:
   shift group.
 
 Activations are recorded post-shift, immediately before the second pointwise
-convolution consumes them. Outputs are plain CSV so heatmaps can be replotted
-with any external tool.
+convolution consumes them: at the output of the block's `relu2`, which runs
+after the shift, so the values are shifted and rectified. Outputs are plain
+CSV so heatmaps can be replotted with any external tool.
 """
 
 from __future__ import annotations
@@ -55,25 +56,26 @@ def record_activations(net: Network, dataset: Dataset, module_id: str,
                        max_images: int = 256, batch_size: int = 64) -> ActivationTrace:
     """Run eval-mode forwards and capture the module's post-shift activations.
 
-    The block's shift layer is wrapped for the duration of the recording and
-    its own `forward` is put back afterwards, even if a forward raises.
+    The block's `relu2` (the layer between the shift and the second 1x1) is
+    wrapped for the duration of the recording and its own `forward` is put
+    back afterwards, even if a forward raises.
     """
     block = find_csc_block(net, module_id)
     n = min(len(dataset), max_images)
     if n == 0:
         raise ValueError("empty dataset")
     chunks = []
-    shift = block.shift
-    forward = shift.forward
+    relu = block.relu2
+    forward = relu.forward
     # a wrapper already set on the instance (a tracer's) is put back as found
-    patched = vars(shift).get("forward")
+    patched = vars(relu).get("forward")
 
     def capture(x, mode="train"):
         out = forward(x, mode)                        # (b, mid, h, w)
         chunks.append(out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1]))
         return out
 
-    shift.forward = capture
+    relu.forward = capture
     try:
         for start in range(0, n, batch_size):
             idx = np.arange(start, min(start + batch_size, n))
@@ -81,9 +83,9 @@ def record_activations(net: Network, dataset: Dataset, module_id: str,
             net.forward(x, "eval")
     finally:
         if patched is None:
-            del shift.forward
+            del relu.forward
         else:
-            shift.forward = patched
+            relu.forward = patched
     samples = np.concatenate(chunks, axis=0)
     return ActivationTrace(module_id, samples, group_index(block.spec), block.spec)
 

@@ -6,8 +6,10 @@ state_arrays() and cost_entries(name, in_shape).
 * Atomic layers (`Conv`, shift, batch norm, ReLU, pools, linear) subclass
   `Layer`. Each declares only its own parameters (`param_names`) and at
   most one cost entry. Only a train-mode forward caches what `backward`
-  reads: after an eval forward the layers hold no arrays, so each
-  activation is freed once the next layer has read it.
+  reads, and `backward` drops that cache once it has read it: after an eval
+  forward, or after a backward, the layers hold no arrays. So an eval
+  activation is freed once the next layer has read it, and during backward
+  memory falls as the walk moves toward the stem.
   `Conv` is the one convolution layer: k = 1 is the 1x1. A cost entry
   names only the layer's kind and shape; `accounting` alone turns that
   into parameter and MAC counts.
@@ -18,11 +20,12 @@ state_arrays() and cost_entries(name, in_shape).
   runs forward through the children and backward through them reversed.
   Blocks add only their parameter-free shortcut on top of that path.
   Children are plain attributes, so instrumentation can find and wrap them.
-* In-place writes: a ReLU overwrites its input, a batch norm's output that
-  nothing else reads (BN's backward uses BN's input), and its dout, fresh
-  from the next layer's backward. Blocks add the shortcut into the main
-  path's fresh output and gradient. So blocks and `Network` never write to
-  their `x` or `dout`; the stem, ending in a ReLU, overwrites its dout.
+* In-place writes: a ReLU overwrites its input, a batch norm's or a shift's
+  fresh output that nothing else reads (BN's backward uses BN's input), and
+  its dout, fresh from the next layer's backward. Blocks add the shortcut
+  into the main path's fresh output and gradient. So blocks and `Network`
+  never write to their `x` or `dout`; the stem, ending in a ReLU,
+  overwrites its dout.
 
 The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
@@ -203,6 +206,7 @@ class Conv(Layer):
 
     def backward(self, dout):
         dx, dw = self._ops[1](dout, self._x, self._kernel())
+        self._x = None
         self.weight.grad += dw
         return dx
 
@@ -258,6 +262,7 @@ class BatchNorm(Layer):
 
     def backward(self, dout):
         dx, dgamma, dbeta = ops.batchnorm_backward(dout, self._cache)
+        self._cache = None
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         return dx
@@ -287,7 +292,9 @@ class ReLU(Layer):
         return y
 
     def backward(self, dout):
-        return ops.relu_backward(dout, self._x, out=dout)
+        dx = ops.relu_backward(dout, self._x, out=dout)
+        self._x = None
+        return dx
 
 
 class GlobalAvgPool(Layer):
@@ -303,7 +310,9 @@ class GlobalAvgPool(Layer):
         return ops.global_avgpool(x)
 
     def backward(self, dout):
-        return ops.global_avgpool_backward(dout, self._x)
+        dx = ops.global_avgpool_backward(dout, self._x)
+        self._x = None
+        return dx
 
     def cost_entries(self, name, in_shape):
         return [], (in_shape[0],)
@@ -329,6 +338,7 @@ class Linear(Layer):
 
     def backward(self, dout):
         dx, dw, db = ops.fc_backward(dout, self._x, self.weight.value)
+        self._x = None
         self.weight.grad += dw
         self.bias.grad += db
         return dx
@@ -408,11 +418,20 @@ class CscConfig:
 
 
 class CscBlock(Composite):
-    """Conv-shift-conv module: BN-ReLU-1x1, shift, BN-ReLU-1x1(stride), + shortcut.
+    """Conv-shift-conv module: BN-ReLU-1x1, BN-shift-ReLU-1x1(stride), + shortcut.
 
     Both 1x1 convolutions are preceded by batch norm and ReLU; the second one
     carries the block's stride so spatial information is mixed by the shift
-    before downsampling. The residual taps the raw input. The "sc2" variant
+    before downsampling. The residual taps the raw input.
+
+    The second ReLU runs after the shift, not before it. That is exact: the
+    shift only moves values and fills vacated positions with +0, and
+    relu(+0) = +0, so relu(shift(y)) equals shift(relu(y)) bit for bit; in
+    backward both orders mask each gradient value with the sign of the same
+    BN output value, and positions the shift pushed off the plane get a zero
+    gradient either way. In this order `relu2` overwrites the shift's fresh
+    output, so it and `pw2` cache the same array and batch norm's output is
+    freed as soon as the shift has read it. The "sc2" variant
     shifts once more at the very start (child `shift0`), widening the
     receptive field. Training runs shift and pw2 unfused on purpose: the fused
     kernel measured slower (see `shift.fused_shift_pointwise`).
@@ -423,7 +442,7 @@ class CscBlock(Composite):
         mid = cfg.mid_channels
         self.spec = make_shift_spec(mid, cfg.kernel_size, cfg.dilation,
                                     cfg.permutation_id)
-        self.child_names = ("bn1", "relu1", "pw1", "bn2", "relu2", "shift", "pw2")
+        self.child_names = ("bn1", "relu1", "pw1", "bn2", "shift", "relu2", "pw2")
         if cfg.variant == "sc2":
             self.shift0 = Shift(make_shift_spec(cfg.in_channels, cfg.kernel_size,
                                                 cfg.dilation, cfg.permutation_id))
@@ -432,8 +451,8 @@ class CscBlock(Composite):
         self.relu1 = ReLU()
         self.pw1 = Conv(cfg.in_channels, mid, 1, 1, seeds.next(), dtype)
         self.bn2 = BatchNorm(mid, dtype)
-        self.relu2 = ReLU()
         self.shift = Shift(self.spec)
+        self.relu2 = ReLU()
         self.pw2 = Conv(mid, cfg.main_out_channels, 1, cfg.stride,
                         seeds.next(), dtype)
         self._x = None
@@ -460,6 +479,7 @@ class CscBlock(Composite):
             d += ops.avgpool2x2_backward(dout[:, :c], self._x)
         elif cfg.has_shortcut:
             d += downsample_combine_backward(dout, self._x)
+        self._x = None
         return d
 
     def cost_entries(self, name, in_shape):
@@ -526,4 +546,5 @@ class BasicBlock(Composite):
     def backward(self, dout):
         d = super().backward(dout)
         d += self._shortcut_backward(dout, self._x)
+        self._x = None
         return d

@@ -63,8 +63,9 @@ class Network(Composite):
     An eval forward runs the body (up to the last global pool) EVAL_SLICE
     images at a time and the head once; eval is per image, so the logits are
     bit-identical to one pass. Only a train-mode forward leaves the caches
-    that `backward` reads (eval leaves the layers holding nothing), so
-    `backward` raises RuntimeError unless the last forward was in train mode.
+    that `backward` reads (eval leaves the layers holding nothing), and
+    `backward` drops them as it reads them. So `backward` raises RuntimeError
+    unless a train-mode forward ran since the last forward or backward.
     """
 
     def __init__(self, name: str, rows: list[ArchRow], num_classes: int,
@@ -86,7 +87,7 @@ class Network(Composite):
         # the body (stem, blocks, global pool) is per image; the head is not
         self._body_end = max((i + 1 for i, (_, layer) in enumerate(self.layers)
                               if isinstance(layer, GlobalAvgPool)), default=0)
-        self._mode = None            # mode of the last forward
+        self._mode = None            # mode of the last forward; None after backward
 
     def children(self):
         return self.layers
@@ -102,8 +103,10 @@ class Network(Composite):
 
     def backward(self, dout):
         if self._mode != "train":
-            raise RuntimeError(f"backward needs a train-mode forward first; the "
-                               f"last forward ran in mode {self._mode!r}")
+            since = "no forward" if self._mode is None else f"a {self._mode!r} forward"
+            raise RuntimeError(f"backward needs a train-mode forward first; there "
+                               f"was {since} since the last backward")
+        self._mode = None            # the layers drop their caches as they go
         return super().backward(dout)
 
     def zero_grads(self):

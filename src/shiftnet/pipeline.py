@@ -150,10 +150,18 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
 
 def write_cifar10_batches(directory: str, images_u8: np.ndarray,
                           labels: np.ndarray, test_fraction: float = 0.2):
-    """Write images into the CIFAR-10 binary batch layout, a chunk of records at a time."""
-    os.makedirs(directory, exist_ok=True)
+    """Write images into the CIFAR-10 binary batch layout, a chunk of records at a time.
+
+    The last max(1, int(n * test_fraction)) records form the test split; a
+    split that leaves no train record raises ValueError before any file is
+    written.
+    """
     n = len(labels)
     n_test = max(1, int(n * test_fraction))
+    if n_test >= n:
+        raise ValueError(f"{n} record(s) at test_fraction {test_fraction} "
+                         f"leave the train split empty")
+    os.makedirs(directory, exist_ok=True)
     order = {"data_batch_1.bin": range(0, n - n_test),
              "test_batch.bin": range(n - n_test, n)}
     rec = np.empty((min(_CHUNK_RECORDS, n), _CIFAR10_RECORD), dtype=np.uint8)

@@ -158,14 +158,30 @@ class TestRecording:
     def test_trace_shape_and_groups(self, trained):
         net, ds = trained
         block = dict(net.named_blocks())["group1.block0"]
-        forward = block.shift.forward
+        forward = block.relu2.forward
         trace = record_activations(net, ds, "group1.block0", max_images=16,
                                    batch_size=8)
         assert trace.samples.shape == (16 * 32 * 32, 16)
         assert len(trace.groups) == 16
-        # block.shift.forward is restored after recording
-        assert block.shift.forward == forward
-        assert "forward" not in vars(block.shift)
+        # block.relu2.forward is restored after recording
+        assert block.relu2.forward == forward
+        assert "forward" not in vars(block.relu2)
+
+    def test_records_what_the_second_pointwise_reads(self, trained, monkeypatch):
+        net, ds = trained
+        block = dict(net.named_blocks())["group2.block0"]
+        seen = []
+        forward = block.pw2.forward
+
+        def spy(x, mode="train"):
+            seen.append(x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
+            return forward(x, mode)
+
+        monkeypatch.setattr(block.pw2, "forward", spy)
+        trace = record_activations(net, ds, "group2.block0", max_images=12,
+                                   batch_size=8)
+        assert np.array_equal(trace.samples, np.concatenate(seen))
+        assert trace.samples.min() >= 0
 
     def test_sliced_eval_records_as_one_pass(self, trained, monkeypatch):
         net, ds = trained

@@ -12,6 +12,9 @@ read whole files and concatenate, and write the whole split with `tobytes`.
 
 The aliasing tests pin the in-place rule of `blocks`: layers may overwrite
 arrays they own, but no block and no network writes to its `x` or `dout`.
+
+A conv-shift-conv block runs its second ReLU after the shift; the oracle is
+the same block with the ReLU before the shift, the order it replaced.
 """
 
 import os
@@ -248,6 +251,53 @@ def _assert_leaves_inputs_alone(layer, x):
     dout_before = dout.copy()
     layer.backward(dout)
     assert np.array_equal(dout, dout_before), "backward wrote to its dout"
+
+
+def relu_before_shift(block):
+    """The block with its children in the old BN-ReLU-shift-1x1 order."""
+    names = list(block.child_names)
+    i = names.index("shift")
+    assert names[i - 1:i + 2] == ["bn2", "shift", "relu2"]
+    names[i:i + 2] = ["relu2", "shift"]
+    block.child_names = tuple(names)
+    return block
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+# every block shifts: 18 intermediate channels give 2 per direction
+CSC_ORDER_CASES = {
+    "csc_s1": CscConfig(12, 12, 1.5),
+    "csc_dilation_2": CscConfig(12, 12, 1.5, dilation=2),
+    "csc_permutation_3": CscConfig(12, 12, 1.5, permutation_id=3),
+    "sc2_s1": CscConfig(12, 12, 1.5, variant="sc2"),
+    "csc_s2_add": CscConfig(12, 24, 0.75, stride=2),
+    "csc_s2_concat": CscConfig(12, 24, 1.5, stride=2, downsample="concat"),
+    "csc_s2_main_only": CscConfig(12, 12, 1.5, stride=2),
+}
+
+
+class TestReluAfterShift:
+    @pytest.mark.parametrize("name", CSC_ORDER_CASES)
+    def test_block_matches_relu_before_shift(self, name):
+        cfg = CSC_ORDER_CASES[name]
+        new = CscBlock(cfg, SeedStream(7))
+        old = relu_before_shift(CscBlock(cfg, SeedStream(7)))
+        rng = np.random.default_rng(8)
+        for step in range(2):               # the second step sees trained BN stats
+            x = _f32(rng, 4, 12, 6, 6)
+            y = new.forward(x, "train")
+            assert _bits(y) == _bits(old.forward(x, "train")), step
+            dout = _f32(rng, *y.shape)
+            assert _bits(new.backward(dout)) == _bits(old.backward(dout)), step
+            for (pname, p), (_, q) in zip(new.params(), old.params()):
+                assert _bits(p.grad) == _bits(q.grad), (step, pname)
+        x = _f32(rng, 4, 12, 6, 6)
+        assert _bits(new.forward(x, "eval")) == _bits(old.forward(x, "eval"))
+        for (sname, a), (_, b) in zip(new.state_arrays(), old.state_arrays()):
+            assert _bits(a) == _bits(b), sname
 
 
 class TestNoWritesToInputs:

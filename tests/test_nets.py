@@ -204,3 +204,25 @@ class TestEvalKeepsNoCaches:
             net.backward(dout)
         net.forward(x, "train")
         assert net.backward(dout).shape == x.shape
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            net.backward(dout)                   # the caches went with the first
+        net.forward(x, "train")
+        assert net.backward(dout).shape == x.shape
+
+
+class TestTrainKeepsNoCaches:
+    def test_train_step_leaves_nothing_allocated(self):
+        # at batch 8 one 16-channel activation is 512 KB; all caches ~19 MB
+        net = build_shiftresnet(20, 1, seed=2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(8, 3, 32, 32)).astype(np.float32)
+        dout = rng.normal(size=(8, net.num_classes)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net.forward(x, "train")
+            dx = net.backward(dout)
+            held = tracemalloc.get_traced_memory()[0] - before - dx.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20, f"{held} bytes held after forward and backward"

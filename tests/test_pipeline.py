@@ -113,6 +113,15 @@ class TestCifarLoader:
         chunk = pipeline._CHUNK_RECORDS * CIFAR_RECORD
         assert peak <= chunk + 2 ** 18, (peak, chunk)
 
+    @pytest.mark.parametrize("n,fraction", [(1, 0.2), (5, 1.0), (5, 1.5), (0, 0.2)])
+    def test_write_rejects_an_empty_train_split(self, tmp_path, n, fraction):
+        images = np.zeros((n, 3, 32, 32), dtype=np.uint8)
+        labels = np.zeros(n, dtype=np.uint8)
+        d = tmp_path / "w"
+        with pytest.raises(ValueError, match="train split empty"):
+            write_cifar10_batches(str(d), images, labels, fraction)
+        assert not d.exists()
+
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_cifar10(str(tmp_path))
