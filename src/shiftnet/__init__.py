@@ -11,8 +11,7 @@ channel-contribution diagnostics and a microbenchmark harness.
 
 from .accounting import (CostReport, arithmetic_intensity, cost_report,
                          count_flops, count_params, reduction_report)
-from .blocks import (BasicBlock, CscBlock, CscConfig, downsample_combine,
-                     round_half_up)
+from .blocks import BasicBlock, CscBlock, CscConfig, round_half_up
 from .nets import (Network, build_by_name, build_resnet, build_shiftnet,
                    build_shiftresnet, dump_config, parse_config, rebuild,
                    reduce_resnet, scaled_resnet)

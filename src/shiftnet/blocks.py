@@ -13,13 +13,16 @@ state_arrays() and cost_entries(name, in_shape).
   `Conv` is the one convolution layer: k = 1 is the 1x1. A cost entry
   names only the layer's kind and shape; `accounting` alone turns that
   into parameter and MAC counts.
-* Composites (`StemConv`, `CscBlock`, `BasicBlock`, and `nets.Network` over
-  its layer list) subclass `Composite` and list their children in order:
-  children order is forward order. The generic walk then supplies params,
-  state and cost entries (named `<child>.<name>`, in children order) and
-  runs forward through the children and backward through them reversed.
-  Blocks add only their parameter-free shortcut on top of that path.
-  Children are plain attributes, so instrumentation can find and wrap them.
+* Composites (`StemConv`, the blocks, and `nets.Network` over its layer
+  list) subclass `Composite` and list their children in order: children
+  order is forward order. The generic walk then supplies params, state and
+  cost entries (named `<child>.<name>`, in children order) and runs forward
+  through the children and backward through them reversed. Children are
+  plain attributes, so instrumentation can find and wrap them.
+* The residual blocks (`CscBlock`, `BasicBlock`) subclass `Residual`, which
+  owns the one residual pass: the children are the main path and a
+  parameter-free shortcut joins its output. A block declares its children
+  and two fields derived from its shape, `shortcut` and `concat`.
 * In-place writes: a ReLU overwrites its input, a batch norm's or a shift's
   fresh output that nothing else reads (BN's backward uses BN's input), and
   its dout, fresh from the next layer's backward. Blocks add the shortcut
@@ -31,18 +34,19 @@ The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
 residual block used as the baseline it replaces.
 
-Downsampling (stride 2) is parameter-free on the shortcut. Two variants
-exist, selected per block:
+Every shortcut follows the one rule in `Residual`; at stride 1 it is
+`main += x`. Stride-2 conv-shift-conv blocks select:
 
 * "add": the main path emits the full output width (intermediate channels =
-  round(expansion * out_channels)) and is summed with the channel-doubling
-  pooled shortcut. Used by the CIFAR-style residual family.
+  round(expansion * out_channels)) and is summed with the pooled shortcut,
+  doubled to out = 2 * in. Used by the CIFAR-style residual family.
 * "concat": the main path emits out - in channels (intermediate channels =
   round(expansion * in_channels)) and is concatenated after the pooled
   shortcut. Used by the larger shift-network family.
 
-When a stride-2 block keeps its channel count (out == in), neither shortcut
-shape works and the block runs main-path only.
+A stride-2 `BasicBlock` whose width does not double pools and zero-pads (or
+only pools, at out == in); a stride-2 `CscBlock` that keeps its width runs
+the main path alone.
 """
 
 from __future__ import annotations
@@ -94,22 +98,6 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def downsample_combine(x: np.ndarray) -> np.ndarray:
-    """Halve the spatial dims and double the channels, parameter-free.
-
-    Concatenation of two 2x2/stride-2 average poolings of the input (both
-    taken at offset (0, 0)), so every output channel pair carries the same
-    pooled plane.
-    """
-    p = ops.avgpool2x2(x)
-    return np.concatenate([p, p], axis=1)
-
-
-def downsample_combine_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    c = x.shape[1]
-    return ops.avgpool2x2_backward(dout[:, :c] + dout[:, c:], x)
-
-
 def run_layers(layers, x, mode):
     """Forward x through (name, layer) pairs in order."""
     for _, layer in layers:
@@ -137,7 +125,7 @@ class Composite:
 
     The walk below derives parameters, persisted state, cost entries and the
     sequential forward/backward from the children; subclasses add only what
-    the path does not cover (residual shortcuts, output shape overrides).
+    the path does not cover (the residual shortcut, output shape overrides).
     """
 
     child_names: tuple[str, ...] = ()
@@ -361,6 +349,55 @@ class StemConv(Composite):
         self.relu = ReLU()
 
 
+class Residual(Composite):
+    """Children form the main path; a parameter-free shortcut joins its output.
+
+    The shortcut is the input, 2x2-average-pooled when the main path halved
+    the plane. `shortcut` is its width: the shortcut is added into each
+    input-wide slice of the first `shortcut` output channels (so 2 * in
+    doubles it), and the channels past those get `+= 0`, the zero padding,
+    which turns -0.0 into +0.0. With `concat` the shortcut is placed in
+    front of the main path's channels instead. None runs the main path alone.
+    """
+
+    shortcut: int | None = None
+    concat = False
+    _x = None
+
+    def forward(self, x, mode="train"):
+        main = super().forward(x, mode)
+        if self.shortcut is None:
+            return main
+        self._x = x if mode == "train" else None
+        s = x if main.shape[2:] == x.shape[2:] else ops.avgpool2x2(x)
+        if self.concat:
+            return np.concatenate([s, main], axis=1)
+        c = x.shape[1]
+        for i in range(0, self.shortcut, c):
+            main[:, i:i + c] += s
+        main[:, self.shortcut:] += 0
+        return main
+
+    def backward(self, dout):
+        if self.shortcut is None:
+            return super().backward(dout)
+        x, self._x = self._x, None
+        c = x.shape[1]
+        d = super().backward(dout[:, c:] if self.concat else dout)
+        ds = dout[:, :c]
+        for i in range(c, self.shortcut, c):
+            ds = ds + dout[:, i:i + c]
+        d += ds if ds.shape[2:] == x.shape[2:] else ops.avgpool2x2_backward(ds, x)
+        return d
+
+    def cost_entries(self, name, in_shape):
+        # the main path already strided the feature map; the shortcut is free
+        entries, (k, ho, wo) = super().cost_entries(name, in_shape)
+        if self.concat:
+            k += in_shape[0]
+        return entries, (k, ho, wo)
+
+
 @dataclass(frozen=True)
 class CscConfig:
     """Shape of one conv-shift-conv block.
@@ -417,7 +454,7 @@ class CscConfig:
         return self.stride == 1 or self.out_channels == 2 * self.in_channels
 
 
-class CscBlock(Composite):
+class CscBlock(Residual):
     """Conv-shift-conv module: BN-ReLU-1x1, BN-shift-ReLU-1x1(stride), + shortcut.
 
     Both 1x1 convolutions are preceded by batch norm and ReLU; the second one
@@ -455,47 +492,18 @@ class CscBlock(Composite):
         self.relu2 = ReLU()
         self.pw2 = Conv(mid, cfg.main_out_channels, 1, cfg.stride,
                         seeds.next(), dtype)
-        self._x = None
-
-    def forward(self, x, mode="train"):
-        cfg = self.cfg
-        self._x = x if mode == "train" else None
-        main = super().forward(x, mode)
-        if cfg.stride == 1:
-            main += x
-        elif cfg.has_shortcut and cfg.downsample == "add":
-            main += downsample_combine(x)
-        elif cfg.has_shortcut:
-            return np.concatenate([ops.avgpool2x2(x), main], axis=1)
-        return main
-
-    def backward(self, dout):
-        cfg, c = self.cfg, self.cfg.in_channels
-        concat = cfg.stride == 2 and cfg.has_shortcut and cfg.downsample == "concat"
-        d = super().backward(dout[:, c:] if concat else dout)
-        if cfg.stride == 1:
-            d += dout
-        elif concat:
-            d += ops.avgpool2x2_backward(dout[:, :c], self._x)
-        elif cfg.has_shortcut:
-            d += downsample_combine_backward(dout, self._x)
-        self._x = None
-        return d
-
-    def cost_entries(self, name, in_shape):
-        # pw2 already strided the feature map; the shortcut costs nothing
-        entries, (_, ho, wo) = super().cost_entries(name, in_shape)
-        return entries, (self.cfg.out_channels, ho, wo)
+        self.concat = cfg.main_out_channels != cfg.out_channels
+        if cfg.has_shortcut:
+            self.shortcut = cfg.in_channels if self.concat else cfg.out_channels
 
 
-class BasicBlock(Composite):
+class BasicBlock(Residual):
     """Two 3x3 convolutions with batch norm and ReLU, plus a residual connection.
 
     mid_channels narrows the first convolution for the module-wise reduction
-    baseline. The stride-2 shortcut is parameter-free: pooled and channel
-    doubled by duplicate concatenation when out == 2*in, otherwise pooled and
-    zero-padded up to the output width (reduced nets round widths so exact
-    doubling is not guaranteed).
+    baseline. The stride-2 shortcut is pooled, and doubled when out == 2*in,
+    otherwise zero-padded up to the output width (reduced nets round widths
+    so exact doubling is not guaranteed).
     """
 
     child_names = ("conv1", "bn1", "relu1", "conv2", "bn2")
@@ -516,35 +524,5 @@ class BasicBlock(Composite):
         self.relu1 = ReLU()
         self.conv2 = Conv(mid, out_channels, 3, 1, seeds.next(), dtype)
         self.bn2 = BatchNorm(out_channels, dtype)
-        self._x = None
-
-    def _shortcut(self, x):
-        if self.stride == 1:
-            return x
-        if self.out_channels == 2 * self.in_channels:
-            return downsample_combine(x)
-        p = ops.avgpool2x2(x)
-        extra = self.out_channels - self.in_channels
-        if extra == 0:
-            return p
-        pad = np.zeros((p.shape[0], extra, p.shape[2], p.shape[3]), dtype=p.dtype)
-        return np.concatenate([p, pad], axis=1)
-
-    def _shortcut_backward(self, dout, x):
-        if self.stride == 1:
-            return dout
-        if self.out_channels == 2 * self.in_channels:
-            return downsample_combine_backward(dout, x)
-        return ops.avgpool2x2_backward(dout[:, :self.in_channels], x)
-
-    def forward(self, x, mode="train"):
-        self._x = x if mode == "train" else None
-        main = super().forward(x, mode)
-        main += self._shortcut(x)
-        return main
-
-    def backward(self, dout):
-        d = super().backward(dout)
-        d += self._shortcut_backward(dout, self._x)
-        self._x = None
-        return d
+        self.shortcut = out_channels if out_channels == 2 * in_channels \
+            else in_channels

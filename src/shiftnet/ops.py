@@ -257,20 +257,25 @@ def relu_backward(dout: np.ndarray, x: np.ndarray, out: np.ndarray | None = None
 
 def avgpool2x2(x: np.ndarray) -> np.ndarray:
     """2x2 average pooling with stride 2; spatial dims must be even."""
-    b, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"avgpool2x2 needs even spatial dims, got {h}x{w}")
-    r = x.reshape(b, c, h // 2, 2, w // 2, 2)
-    # only this pairing rounds exactly as r.mean(axis=(3, 5)) does
-    return ((r[:, :, :, 0, :, 0] + r[:, :, :, 0, :, 1])
-            + (r[:, :, :, 1, :, 0] + r[:, :, :, 1, :, 1])) * x.dtype.type(0.25)
+    # (a + b) + (c + d), the only pairing that rounds exactly as
+    # x.reshape(b, c, h/2, 2, w/2, 2).mean(axis=(3, 5)) does. Summing whole
+    # column pairs first is faster alone, but its half-size temporary made
+    # perfbench's train process give back and re-fault its heap every step.
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]
+    out *= x.dtype.type(0.25)
+    return out
 
 
 def avgpool2x2_backward(dout: np.ndarray, x: np.ndarray) -> np.ndarray:
-    b, c, h, w = x.shape
     dx = np.empty(x.shape, dtype=x.dtype)
-    dx.reshape(b, c, h // 2, 2, w // 2, 2)[...] = \
-        (dout * x.dtype.type(0.25))[:, :, :, None, :, None]
+    quarter = dout * x.dtype.type(0.25)
+    for i in (0, 1):
+        for j in (0, 1):
+            dx[:, :, i::2, j::2] = quarter
     return dx
 
 

@@ -200,6 +200,11 @@ def synth_dataset(n: int, classes: int, image_shape=(3, 32, 32),
     return Dataset(images, labels, "train", classes)
 
 
+def _require_positive(name: str, value: int):
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass
 class TrainSchedule:
     """SGD hyperparameters: step learning-rate decay, momentum, weight decay."""
@@ -216,6 +221,8 @@ class TrainSchedule:
     log_every: int = 1
 
     def __post_init__(self):
+        for name in ("max_iters", "batch_size", "log_every"):
+            _require_positive(name, getattr(self, name))
         pts = tuple(self.lr_decay_points)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("decay points must be strictly increasing")
@@ -330,6 +337,7 @@ def evaluate(net: Network, dataset: Dataset, batch_size: int = 256):
     Batches run in slices (`nets.Network`) and the eval forward leaves no
     layer caches behind, so `net.backward` raises until a train-mode forward.
     """
+    _require_positive("batch_size", batch_size)
     n = len(dataset)
     if n == 0:
         raise ValueError("empty dataset")

@@ -15,6 +15,10 @@ arrays they own, but no block and no network writes to its `x` or `dout`.
 
 A conv-shift-conv block runs its second ReLU after the shift; the oracle is
 the same block with the ReLU before the shift, the order it replaced.
+
+Both residual blocks share one `blocks.Residual` pass; the oracles are the
+blocks' earlier hand-written passes, one per block class, run over the same
+children.
 """
 
 import os
@@ -23,7 +27,7 @@ import numpy as np
 import pytest
 
 from shiftnet import ops
-from shiftnet.blocks import BasicBlock, CscBlock, CscConfig, SeedStream
+from shiftnet.blocks import BasicBlock, Composite, CscBlock, CscConfig, SeedStream
 from shiftnet.nets import build_resnet, build_shiftresnet, reduce_resnet
 from shiftnet.ops import BatchNormState, ConvKernel
 from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
@@ -234,6 +238,8 @@ BLOCKS = {
     "basic_s1": lambda: BasicBlock(4, 4, 1, SeedStream(2)),
     "basic_s2_double": lambda: BasicBlock(4, 8, 2, SeedStream(2)),
     "basic_s2_zero_pad": lambda: BasicBlock(4, 6, 2, SeedStream(2)),
+    "basic_s2_zero_pad_odd": lambda: BasicBlock(4, 7, 2, SeedStream(2), mid_channels=3),
+    "basic_s2_same_width": lambda: BasicBlock(4, 4, 2, SeedStream(2)),
 }
 NETS = {
     "shiftresnet20-1": lambda: build_shiftresnet(20, 1, seed=1),
@@ -298,6 +304,111 @@ class TestReluAfterShift:
         assert _bits(new.forward(x, "eval")) == _bits(old.forward(x, "eval"))
         for (sname, a), (_, b) in zip(new.state_arrays(), old.state_arrays()):
             assert _bits(a) == _bits(b), sname
+
+
+def _doubled_pool(x):
+    p = ops.avgpool2x2(x)
+    return np.concatenate([p, p], axis=1)
+
+
+def _doubled_pool_backward(dout, x):
+    c = x.shape[1]
+    return ops.avgpool2x2_backward(dout[:, :c] + dout[:, c:], x)
+
+
+def csc_forward_oracle(block, x, mode):
+    cfg = block.cfg
+    main = Composite.forward(block, x, mode)
+    if cfg.stride == 1:
+        main += x
+    elif cfg.has_shortcut and cfg.downsample == "add":
+        main += _doubled_pool(x)
+    elif cfg.has_shortcut:
+        return np.concatenate([ops.avgpool2x2(x), main], axis=1)
+    return main
+
+
+def csc_backward_oracle(block, dout, x):
+    cfg, c = block.cfg, block.cfg.in_channels
+    concat = cfg.stride == 2 and cfg.has_shortcut and cfg.downsample == "concat"
+    d = Composite.backward(block, dout[:, c:] if concat else dout)
+    if cfg.stride == 1:
+        d += dout
+    elif concat:
+        d += ops.avgpool2x2_backward(dout[:, :c], x)
+    elif cfg.has_shortcut:
+        d += _doubled_pool_backward(dout, x)
+    return d
+
+
+def basic_forward_oracle(block, x, mode):
+    main = Composite.forward(block, x, mode)
+    if block.stride == 1:
+        main += x
+    elif block.out_channels == 2 * block.in_channels:
+        main += _doubled_pool(x)
+    else:
+        p = ops.avgpool2x2(x)
+        pad = np.zeros((p.shape[0], block.out_channels - block.in_channels)
+                       + p.shape[2:], dtype=p.dtype)
+        main += np.concatenate([p, pad], axis=1)
+    return main
+
+
+def basic_backward_oracle(block, dout, x):
+    d = Composite.backward(block, dout)
+    if block.stride == 1:
+        d += dout
+    elif block.out_channels == 2 * block.in_channels:
+        d += _doubled_pool_backward(dout, x)
+    else:
+        d += ops.avgpool2x2_backward(dout[:, :block.in_channels], x)
+    return d
+
+
+RESIDUAL_CASES = {
+    "csc_s1": lambda: CscBlock(CscConfig(4, 4, 2.0), SeedStream(3)),
+    "sc2_s1": lambda: CscBlock(CscConfig(4, 4, 2.0, variant="sc2"), SeedStream(3)),
+    "csc_s2_add": lambda: CscBlock(CscConfig(4, 8, 2.0, stride=2), SeedStream(3)),
+    "csc_s2_concat": lambda: CscBlock(CscConfig(4, 8, 2.0, stride=2, downsample="concat"),
+                                      SeedStream(3)),
+    "csc_s2_main_only": lambda: CscBlock(CscConfig(4, 4, 2.0, stride=2), SeedStream(3)),
+    "basic_s1": lambda: BasicBlock(4, 4, 1, SeedStream(3)),
+    "basic_s2_double": lambda: BasicBlock(4, 8, 2, SeedStream(3)),
+    "basic_s2_zero_pad": lambda: BasicBlock(4, 7, 2, SeedStream(3), mid_channels=3),
+    "basic_s2_same_width": lambda: BasicBlock(4, 4, 2, SeedStream(3)),
+}
+
+
+class TestResidualPass:
+    @pytest.mark.parametrize("name", RESIDUAL_CASES)
+    def test_block_matches_hand_written_pass(self, name):
+        new, old = RESIDUAL_CASES[name](), RESIDUAL_CASES[name]()
+        fwd, bwd = ((csc_forward_oracle, csc_backward_oracle) if isinstance(old, CscBlock)
+                    else (basic_forward_oracle, basic_backward_oracle))
+        rng = np.random.default_rng(9)
+        for step in range(2):               # the second step sees trained BN stats
+            x = _f32(rng, 4, 4, 6, 6)
+            y = new.forward(x, "train")
+            assert _bits(y) == _bits(fwd(old, x, "train")), step
+            dout = _f32(rng, *y.shape)
+            assert _bits(new.backward(dout)) == _bits(bwd(old, dout, x)), step
+            for (pname, p), (_, q) in zip(new.params(), old.params()):
+                assert _bits(p.grad) == _bits(q.grad), (step, pname)
+        x = _f32(rng, 4, 4, 6, 6)
+        assert _bits(new.forward(x, "eval")) == _bits(fwd(old, x, "eval"))
+        for (sname, a), (_, b) in zip(new.state_arrays(), old.state_arrays()):
+            assert _bits(a) == _bits(b), sname
+
+    def test_zero_padding_turns_negative_zero_positive(self):
+        block = BasicBlock(4, 7, 2, SeedStream(3), mid_channels=3)
+        block.conv2.weight.value[...] = 0
+        bn = block.bn2.state            # eval: +0 * -0 + (-0 - (-0 * -1)) = -0
+        bn.gamma[:], bn.beta[:], bn.running_mean[:] = -0.0, -0.0, -1.0
+        x = _f32(np.random.default_rng(1), 2, 4, 6, 6)
+        assert np.signbit(Composite.forward(block, x, "eval")).all()
+        y = block.forward(x, "eval")
+        assert not np.signbit(y[:, 4:]).any()
 
 
 class TestNoWritesToInputs:

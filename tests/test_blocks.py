@@ -7,8 +7,7 @@ import pytest
 from gradcheck import check_block_gradients
 from shiftnet import ops
 from shiftnet.blocks import (BasicBlock, CscBlock, CscConfig, SeedStream,
-                             StemConv, downsample_combine,
-                             downsample_combine_backward, round_half_up)
+                             StemConv, round_half_up)
 from shiftnet.ops import ConvKernel
 
 
@@ -47,34 +46,59 @@ class TestCscConfig:
             CscConfig(4, 4, 1.0, stride=3)
 
 
+KINDS = ("csc", "basic")
+
+
+def _shortcut_only(kind, channels, dtype=np.float32):
+    """A stride-2 block doubling `channels` whose main path outputs zeros, so
+    its output is the shortcut alone."""
+    if kind == "csc":
+        block = CscBlock(CscConfig(channels, 2 * channels, 1.0, stride=2),
+                         SeedStream(0), dtype=dtype)
+        block.pw2.weight.value[...] = 0
+    else:
+        block = BasicBlock(channels, 2 * channels, 2, SeedStream(0), dtype=dtype)
+        block.conv2.weight.value[...] = 0   # bn2 (beta 0) then maps zeros to zeros
+    return block
+
+
 class TestDownsampleCombine:
+    """The doubling stride-2 shortcut of both blocks: each channel half
+    carries the input's 2x2 average pooling."""
+
     def test_constant_passthrough(self):
         x = np.full((1, 3, 4, 4), 2.5, dtype=np.float32)
-        y = downsample_combine(x)
-        assert y.shape == (1, 6, 2, 2)
-        assert np.all(y == 2.5)
+        for kind in KINDS:
+            y = _shortcut_only(kind, 3).forward(x, "eval")
+            assert y.shape == (1, 6, 2, 2)
+            assert np.all(y == 2.5)
 
     def test_window_mean(self):
         x = np.array([[1, 2], [3, 4]], dtype=np.float32).reshape(1, 1, 2, 2)
-        y = downsample_combine(x)
-        assert y.shape == (1, 2, 1, 1)
-        assert y[0, 0, 0, 0] == 2.5 and y[0, 1, 0, 0] == 2.5
+        for kind in KINDS:
+            y = _shortcut_only(kind, 1).forward(x, "eval")
+            assert y.shape == (1, 2, 1, 1)
+            assert y[0, 0, 0, 0] == 2.5 and y[0, 1, 0, 0] == 2.5
 
     def test_shape_arithmetic(self):
-        y = downsample_combine(np.zeros((1, 16, 32, 32), dtype=np.float32))
-        assert y.shape == (1, 32, 16, 16)
+        x = np.zeros((1, 16, 32, 32), dtype=np.float32)
+        for kind in KINDS:
+            assert _shortcut_only(kind, 16).forward(x, "eval").shape == (1, 32, 16, 16)
 
     def test_odd_spatial_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            downsample_combine(np.zeros((1, 1, 3, 4)))
+        for kind in KINDS:
+            with pytest.raises(ValueError, match="even"):
+                _shortcut_only(kind, 1).forward(np.zeros((1, 1, 3, 4)), "eval")
 
     def test_backward_is_adjoint(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 4, 4))
         d = rng.normal(size=(2, 6, 2, 2))
-        lhs = np.sum(downsample_combine(x) * d)
-        rhs = np.sum(x * downsample_combine_backward(d, x))
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+        for kind in KINDS:
+            block = _shortcut_only(kind, 3, np.float64)
+            lhs = np.sum(block.forward(x, "train") * d)
+            rhs = np.sum(x * block.backward(d))
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
 class TestCscForward:

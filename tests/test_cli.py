@@ -142,6 +142,25 @@ class TestWorkflows:
         with open(prefix + "_contrib.csv") as f:
             assert f.readline().strip() == "channel,group,dy,dx,value"
 
+    @pytest.mark.parametrize("flag,field", [("--iters", "max_iters"),
+                                            ("--batch", "batch_size"),
+                                            ("--log-every", "log_every")])
+    def test_train_rejects_sizes_below_one(self, capsys, tmp_path, flag, field):
+        out = str(tmp_path / "never.json")
+        code, _, err = run_cli(capsys, "train", "--arch", "shiftresnet20",
+                               "--expansion", "0.25", "--data", "synth",
+                               "--synth-n", "32", "--iters", "2", "--batch", "8",
+                               "--out", out, flag, "0")
+        assert code == 1
+        assert f"{field} must be at least 1, got 0" in err
+        assert not os.path.exists(out)
+
+    def test_eval_rejects_batch_below_one(self, capsys, ckpt):
+        code, _, err = run_cli(capsys, "eval", "--ckpt", ckpt, "--data", "synth",
+                               "--synth-n", "64", "--batch", "-5")
+        assert code == 1
+        assert "batch_size must be at least 1, got -5" in err
+
     def test_train_log_csv(self, capsys, tmp_path):
         log_path = str(tmp_path / "log.csv")
         code, out, _ = run_cli(capsys, "train", "--arch", "shiftresnet20",

@@ -182,6 +182,13 @@ class TestSchedule:
         s = TrainSchedule(max_iters=100, lr_decay_points=(200, 300))
         assert s.lr_decay_points == ()
 
+    @pytest.mark.parametrize("field", ["max_iters", "batch_size", "log_every"])
+    def test_sizes_below_one_rejected(self, field):
+        TrainSchedule(**{"max_iters": 5, field: 1})
+        for value in (0, -5):
+            with pytest.raises(ValueError, match=f"{field} must be at least 1, got {value}"):
+                TrainSchedule(**{"max_iters": 5, field: value})
+
     def test_log_csv(self):
         log = TrainLog()
         log.add(1, 0.1, 2.5, 0.1)
@@ -308,6 +315,12 @@ class TestEvaluate:
         empty = Dataset(ds.images[:0], ds.labels[:0], "test", 4)
         with pytest.raises(ValueError):
             evaluate(_StubNet("uniform"), empty)
+
+    @pytest.mark.parametrize("batch_size", [0, -5])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        ds = synth_dataset(8, 4, seed=0)
+        with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+            evaluate(_StubNet("uniform"), ds, batch_size)
 
     def test_eval_leaves_running_stats_untouched(self):
         net = _tiny_net()
