@@ -91,20 +91,11 @@ class CostReport:
     params: int
     macs: int
     per_layer: list[tuple[str, int, int, float]]  # (layer, params, macs, ai)
-    convention: str = "flops_2x"
     notes: tuple[str, ...] = ()
 
     @property
     def flops_2x(self) -> int:
         return 2 * self.macs
-
-    def flops(self, convention: str | None = None) -> int:
-        conv = convention or self.convention
-        if conv == "macs":
-            return self.macs
-        if conv == "flops_2x":
-            return self.flops_2x
-        raise ValueError(f"unknown convention {conv!r}")
 
 
 def arithmetic_intensity(kind: str, m: int, n: int, feature_size: int,
@@ -129,10 +120,8 @@ def memory_access_words(kind: str, m: int, n: int, feature_size: int,
     return words
 
 
-def cost_report(net, input_size: int = 32, convention: str = "flops_2x") -> CostReport:
+def cost_report(net, input_size: int = 32) -> CostReport:
     """Walk a network's layers and total their parameter and MAC costs."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"convention must be one of {CONVENTIONS}")
     entries: list[LayerCost] = net.cost_entries(input_size)
     per_layer = []
     notes = []
@@ -147,7 +136,7 @@ def cost_report(net, input_size: int = 32, convention: str = "flops_2x") -> Cost
         if e.note:
             notes.append(f"{e.name}: {e.note}")
     return CostReport(net.name, input_size, total_params, total_macs,
-                      per_layer, convention, tuple(notes))
+                      per_layer, tuple(notes))
 
 
 def count_params(net) -> int:
@@ -158,8 +147,10 @@ def count_params(net) -> int:
 
 def count_flops(net, input_size: int = 32, convention: str = "flops_2x") -> int:
     """Total network cost at the given input size under the named convention."""
-    report = cost_report(net, input_size, convention)
-    return report.flops(convention)
+    if convention not in CONVENTIONS:
+        raise ValueError(f"convention must be one of {CONVENTIONS}")
+    macs = cost_report(net, input_size).macs
+    return macs if convention == "macs" else 2 * macs
 
 
 def reduction_report(base: CostReport, other: CostReport) -> tuple[float, float]:

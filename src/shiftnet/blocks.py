@@ -4,12 +4,13 @@ Every layer speaks one protocol: forward(x, mode), backward(dout), params(),
 state_arrays() and cost_entries(name, in_shape).
 
 * Atomic layers (`Conv`, shift, batch norm, ReLU, pools, linear) subclass
-  `Layer`. Each declares only its own parameters (`param_names`) and at
-  most one cost entry. Only a train-mode forward caches what `backward`
-  reads, and `backward` drops that cache once it has read it: after an eval
-  forward, or after a backward, the layers hold no arrays. So an eval
-  activation is freed once the next layer has read it, and during backward
-  memory falls as the walk moves toward the stem.
+  `Layer`. Each declares only its own parameters (`param_names`), at most
+  one cost entry, and its math: `run(x, mode) -> (y, saved)` and
+  `grad(dout, saved) -> dx`. `Layer` owns the only `forward`/`backward`:
+  it keeps `saved` in its `_saved` slot after a train-mode forward only,
+  and `backward` takes the slot and clears it. An eval forward writes no
+  attribute, so an eval activation is freed once the next layer has read
+  it, and during backward memory falls as the walk moves toward the stem.
   `Conv` is the one convolution layer: k = 1 is the 1x1. A cost entry
   names only the layer's kind and shape; `accounting` alone turns that
   into parameter and MAC counts.
@@ -106,9 +107,23 @@ def run_layers(layers, x, mode):
 
 
 class Layer:
-    """Atomic layer: declares its own parameters and at most one cost entry."""
+    """Atomic layer: its parameters, at most one cost entry, and `run`/`grad`.
+
+    Only a train forward fills `_saved`; `backward` takes it and clears it.
+    """
 
     param_names: tuple[str, ...] = ()
+    _saved = None
+
+    def forward(self, x, mode="train"):
+        y, saved = self.run(x, mode)
+        if mode == "train":
+            self._saved = saved
+        return y
+
+    def backward(self, dout):
+        saved, self._saved = self._saved, None
+        return self.grad(dout, saved)
 
     def params(self):
         return [(n, getattr(self, n)) for n in self.param_names]
@@ -183,18 +198,15 @@ class Conv(Layer):
             self._ops = (ops.conv2d_spatial, ops.conv2d_spatial_backward)
         fan_in = kernel_size * kernel_size * in_channels
         self.weight = Param(he_normal(shape, fan_in, seed, dtype))
-        self._x = None
 
     def _kernel(self) -> ConvKernel:
         return ConvKernel(self.weight.value, self.stride, self.padding)
 
-    def forward(self, x, mode="train"):
-        self._x = x if mode == "train" else None
-        return self._ops[0](x, self._kernel())
+    def run(self, x, mode):
+        return self._ops[0](x, self._kernel()), x
 
-    def backward(self, dout):
-        dx, dw = self._ops[1](dout, self._x, self._kernel())
-        self._x = None
+    def grad(self, dout, x):
+        dx, dw = self._ops[1](dout, x, self._kernel())
         self.weight.grad += dw
         return dx
 
@@ -215,10 +227,10 @@ class Shift(Layer):
     def __init__(self, spec: ShiftSpec):
         self.spec = spec
 
-    def forward(self, x, mode="train"):
-        return shift_forward(x, self.spec)
+    def run(self, x, mode):
+        return shift_forward(x, self.spec), None
 
-    def backward(self, dout):
+    def grad(self, dout, saved):
         return shift_backward(dout, self.spec)
 
     def cost_entries(self, name, in_shape):
@@ -241,16 +253,12 @@ class BatchNorm(Layer):
         self.state = BatchNormState.create(channels, dtype)
         self.gamma = Param(self.state.gamma)
         self.beta = Param(self.state.beta)
-        self._cache = None
 
-    def forward(self, x, mode="train"):
-        y, cache = ops.batchnorm_forward(x, self.state, mode)
-        self._cache = cache if mode == "train" else None
-        return y
+    def run(self, x, mode):
+        return ops.batchnorm_forward(x, self.state, mode)
 
-    def backward(self, dout):
-        dx, dgamma, dbeta = ops.batchnorm_backward(dout, self._cache)
-        self._cache = None
+    def grad(self, dout, cache):
+        dx, dgamma, dbeta = ops.batchnorm_backward(dout, cache)
         self.gamma.grad += dgamma
         self.beta.grad += dbeta
         return dx
@@ -267,22 +275,16 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    """In-place rectifier; a train forward keeps its output (> 0 where x was) in `_x`."""
+    """In-place rectifier; a train forward saves its output (> 0 where x was)."""
 
     kind = "relu"
 
-    def __init__(self):
-        self._x = None
-
-    def forward(self, x, mode="train"):
+    def run(self, x, mode):
         y = ops.relu(x, out=x)
-        self._x = y if mode == "train" else None
-        return y
+        return y, y
 
-    def backward(self, dout):
-        dx = ops.relu_backward(dout, self._x, out=dout)
-        self._x = None
-        return dx
+    def grad(self, dout, y):
+        return ops.relu_backward(dout, y, out=dout)
 
 
 class GlobalAvgPool(Layer):
@@ -290,17 +292,11 @@ class GlobalAvgPool(Layer):
 
     kind = "pool"
 
-    def __init__(self):
-        self._x = None
+    def run(self, x, mode):
+        return ops.global_avgpool(x), x
 
-    def forward(self, x, mode="train"):
-        self._x = x if mode == "train" else None
-        return ops.global_avgpool(x)
-
-    def backward(self, dout):
-        dx = ops.global_avgpool_backward(dout, self._x)
-        self._x = None
-        return dx
+    def grad(self, dout, x):
+        return ops.global_avgpool_backward(dout, x)
 
     def cost_entries(self, name, in_shape):
         return [], (in_shape[0],)
@@ -318,15 +314,12 @@ class Linear(Layer):
         self.weight = Param(he_normal((in_features, out_features), in_features,
                                       seed, dtype))
         self.bias = Param(np.zeros(out_features, dtype=dtype))
-        self._x = None
 
-    def forward(self, x, mode="train"):
-        self._x = x if mode == "train" else None
-        return ops.fc_forward(x, self.weight.value, self.bias.value)
+    def run(self, x, mode):
+        return ops.fc_forward(x, self.weight.value, self.bias.value), x
 
-    def backward(self, dout):
-        dx, dw, db = ops.fc_backward(dout, self._x, self.weight.value)
-        self._x = None
+    def grad(self, dout, x):
+        dx, dw, db = ops.fc_backward(dout, x, self.weight.value)
         self.weight.grad += dw
         self.bias.grad += db
         return dx
@@ -362,13 +355,14 @@ class Residual(Composite):
 
     shortcut: int | None = None
     concat = False
-    _x = None
+    _saved = None
 
     def forward(self, x, mode="train"):
         main = super().forward(x, mode)
         if self.shortcut is None:
             return main
-        self._x = x if mode == "train" else None
+        if mode == "train":
+            self._saved = x
         s = x if main.shape[2:] == x.shape[2:] else ops.avgpool2x2(x)
         if self.concat:
             return np.concatenate([s, main], axis=1)
@@ -381,7 +375,7 @@ class Residual(Composite):
     def backward(self, dout):
         if self.shortcut is None:
             return super().backward(dout)
-        x, self._x = self._x, None
+        x, self._saved = self._saved, None
         c = x.shape[1]
         d = super().backward(dout[:, c:] if self.concat else dout)
         ds = dout[:, :c]

@@ -62,8 +62,8 @@ class Network(Composite):
 
     An eval forward runs the body (up to the last global pool) EVAL_SLICE
     images at a time and the head once; eval is per image, so the logits are
-    bit-identical to one pass. Only a train-mode forward leaves the caches
-    that `backward` reads (eval leaves the layers holding nothing), and
+    bit-identical to one pass. Only a train-mode forward fills the caches
+    that `backward` reads (an eval forward writes none), and
     `backward` drops them as it reads them. So `backward` raises RuntimeError
     unless a train-mode forward ran since the last forward or backward.
     """

@@ -223,18 +223,16 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str = "train")
     offset = state.beta - scale * mean
     y = x * scale.reshape(1, -1, 1, 1)
     y += offset.reshape(1, -1, 1, 1)
-    return y, (mode, x, mean, inv_std, state)
+    return y, (x, mean, inv_std, state)
 
 
 def batchnorm_backward(dout: np.ndarray, cache):
-    """Gradients (dx, dgamma, dbeta) of batchnorm_forward."""
-    mode, x, mean, inv_std, state = cache
+    """Gradients (dx, dgamma, dbeta) of a train-mode batchnorm_forward."""
+    x, mean, inv_std, state = cache
     dbeta = np.sum(dout, axis=(0, 2, 3))
     sum_dx_x = np.einsum("bchw,bchw->c", dout, x)
     dgamma = (sum_dx_x - mean * dbeta) * inv_std
     scale = state.gamma * inv_std
-    if mode == "eval":
-        return dout * scale.reshape(1, -1, 1, 1), dgamma, dbeta
     # dx = A*dout + B*x + C with per-channel coefficients (the usual
     # batch-stat chain rule rearranged into one affine pass)
     n = x.shape[0] * x.shape[2] * x.shape[3]

@@ -59,6 +59,8 @@ class Dataset:
         if len(self.labels) and not (0 <= self.labels.min()
                                      and self.labels.max() < self.num_classes):
             raise ValueError("labels out of range")
+        if self.images.dtype == np.uint8 and (self.mean is None or self.std is None):
+            raise ValueError("uint8 images need the per-channel mean and std")
 
     def __len__(self):
         return len(self.labels)
@@ -334,8 +336,8 @@ def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
 def evaluate(net: Network, dataset: Dataset, batch_size: int = 256):
     """Eval-mode top-1 accuracy and mean loss over a dataset.
 
-    Batches run in slices (`nets.Network`) and the eval forward leaves no
-    layer caches behind, so `net.backward` raises until a train-mode forward.
+    Batches run in slices (`nets.Network`) and the eval forward writes no
+    layer cache, so `net.backward` raises until a train-mode forward.
     """
     _require_positive("batch_size", batch_size)
     n = len(dataset)
@@ -397,18 +399,26 @@ def save_checkpoint(net: Network, path: str, iteration: int = 0,
 def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:
     """Rebuild the network named by the manifest and restore every array bit-exactly.
 
-    The entries must name each live array once and tile the blob in order;
-    anything else raises ValueError.
+    The manifest must hold a `config` object and a list of entries (str
+    `name`, list `shape`, int `offset`) that name each live array once and
+    tile the blob in order; anything else raises ValueError.
     """
     with open(path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError("checkpoint manifest is not a JSON object")
     if manifest.get("format") != 1:
         raise ValueError(f"unsupported checkpoint format {manifest.get('format')!r}")
+    entries = manifest.get("entries")
+    if not (isinstance(manifest.get("config"), dict) and isinstance(entries, list)
+            and all(isinstance(e, dict) and all(isinstance(e.get(k), t) for k, t in
+                    (("name", str), ("shape", list), ("offset", int))) for e in entries)):
+        raise ValueError("malformed checkpoint manifest: config or entries")
     with open(_blob_path(path), "rb") as f:
         blob = f.read()
     net = rebuild(manifest["config"], dtype=dtype)
     live = dict(net.named_state())
-    names = [e["name"] for e in manifest["entries"]]
+    names = [e["name"] for e in entries]
     listed = set(names)
     if listed != set(live) or len(names) != len(listed):
         missing = sorted(set(live) - listed)[:3]
@@ -416,7 +426,7 @@ def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:
         raise ValueError(f"manifest/blob mismatch: missing {missing}, unexpected "
                          f"{extra}, {len(names) - len(listed)} duplicate names")
     end = 0
-    for entry in manifest["entries"]:
+    for entry in entries:
         if entry["offset"] != end:
             raise ValueError(f"entry {entry['name']} at offset {entry['offset']}, "
                              f"expected {end}")

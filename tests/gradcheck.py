@@ -68,7 +68,7 @@ def check_block_gradients(block, x, rng, relus=(), tol=TOL, h=H) -> float:
         return float(np.sum(block.forward(x, "train") * dout))
 
     def probe():
-        return np.concatenate([(r._x > 0).ravel() for r in relus]) if relus else None
+        return np.concatenate([(r._saved > 0).ravel() for r in relus]) if relus else None
 
     block.forward(x, "train")
     for _, p in block.params():

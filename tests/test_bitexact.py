@@ -174,7 +174,7 @@ class TestAgainstOracles:
         state.gamma[:] = rng.uniform(0.5, 2.0, shape[1])
         want_y, want_mean, want_inv_std, want_running_var = \
             batchnorm_train_oracle(x, state)
-        y, (_, _, mean, inv_std, _) = ops.batchnorm_forward(x, state, "train")
+        y, (_, mean, inv_std, _) = ops.batchnorm_forward(x, state, "train")
         assert np.array_equal(y, want_y)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(inv_std, want_inv_std)       # var, through 1/sqrt

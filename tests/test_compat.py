@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from shiftnet import blocks
 from shiftnet.accounting import cost_report, report_to_csv
 from shiftnet.blocks import Composite
 from shiftnet.nets import (EVAL_SLICE, ArchRow, Network, build_resnet,
@@ -163,3 +164,21 @@ def test_sliced_eval_matches_one_pass(name):
         sliced = net.forward(x, "eval")
         assert np.array_equal(x, given)
         assert np.array_equal(sliced, Composite.forward(net, x, "eval")), n
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_eval_forward_writes_no_layer_attribute(name, monkeypatch):
+    """After a train forward has filled the caches, an eval forward sets no
+    attribute on any layer or composite except the network's `_mode`."""
+    net = BUILDERS[name]()
+    rng = np.random.default_rng(6)
+    net.forward(rng.normal(size=(4, 3, 32, 32)).astype(np.float32), "train")
+
+    def refuse(obj, attr, value):
+        if not (obj is net and attr == "_mode"):
+            raise AssertionError(f"eval forward wrote {type(obj).__name__}.{attr}")
+        object.__setattr__(obj, attr, value)
+    monkeypatch.setattr(blocks.Layer, "__setattr__", refuse)
+    monkeypatch.setattr(blocks.Composite, "__setattr__", refuse)
+    for n in (1, EVAL_SLICE, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
+        net.forward(rng.normal(size=(n, 3, 32, 32)).astype(np.float32), "eval")

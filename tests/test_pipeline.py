@@ -137,6 +137,15 @@ class TestCifarLoader:
         recovered = x[0] * train_ds.std.reshape(-1, 1, 1) + train_ds.mean.reshape(-1, 1, 1)
         np.testing.assert_allclose(recovered, 1.0, atol=1e-6)
 
+    def test_uint8_images_without_stats_rejected(self, tmp_path):
+        d, *_ = _toy_cifar_dir(tmp_path)
+        train_ds, _ = load_cifar10(d)
+        with pytest.raises(ValueError, match="mean and std"):
+            Dataset(train_ds.images, train_ds.labels, "train", 10)
+        with pytest.raises(ValueError, match="mean and std"):
+            Dataset(train_ds.images, train_ds.labels, "train", 10, train_ds.mean)
+        assert len(train_ds.subset(slice(0, 4))) == 4
+
     def test_standardized_train_stats(self, tmp_path):
         d, *_ = _toy_cifar_dir(tmp_path, n=100)
         train_ds, _ = load_cifar10(d)
@@ -395,7 +404,9 @@ class TestCheckpoints:
             edit_entries({e["name"]: e for e in manifest["entries"]},
                          manifest["entries"])
         if edit_manifest:
-            edit_manifest(manifest)
+            # an edit edits in place or returns a replacement manifest
+            edited = edit_manifest(manifest)
+            manifest = manifest if edited is None else edited
         with open(path, "w") as f:
             json.dump(manifest, f)
         with open(path + ".blob", "ab") as f:
@@ -407,6 +418,29 @@ class TestCheckpoints:
             manifest["format"] = 2
         with pytest.raises(ValueError, match="format 2"):
             load_checkpoint(self._tamper(tmp_path, edit_manifest=bump_format))
+
+    def test_manifest_not_an_object_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_checkpoint(self._tamper(tmp_path, edit_manifest=lambda m: [m]))
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("config"),
+        lambda m: m.pop("entries"),
+        lambda m: m.update(config=[]),
+        lambda m: m.update(entries={}),
+        lambda m: m["entries"].append(7),
+        lambda m: m["entries"][0].pop("name"),
+        lambda m: m["entries"][0].pop("shape"),
+        lambda m: m["entries"][0].pop("offset"),
+        lambda m: m["entries"][0].update(shape=3),
+        lambda m: m["entries"][0].update(name=["stem"]),
+    ], ids=["no-config", "no-entries", "config-list", "entries-dict", "entry-int",
+            "no-name", "no-shape", "no-offset", "shape-int", "name-list"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit):
+        def in_place(manifest):
+            edit(manifest)
+        with pytest.raises(ValueError, match="manifest"):
+            load_checkpoint(self._tamper(tmp_path, edit_manifest=in_place))
 
     def test_duplicated_offset_rejected(self, tmp_path):
         def alias(by_name, _):
