@@ -184,27 +184,3 @@ def report_to_csv(report: CostReport) -> str:
     lines.append(f"total,{report.params},{report.macs},")
     return "\n".join(lines) + "\n"
 
-
-def comparison_table(rows: list[tuple[str, float, CostReport, CostReport]],
-                     csv: bool = False) -> str:
-    """Side-by-side table (model, expansion, params, flops, reduction rates).
-
-    Each input row is (model name, expansion, base report, model report);
-    rates are base-over-model, mirroring the published layout.
-    """
-    header = ("model", "expansion", "params", "flops_2x",
-              "param_rate", "flop_rate")
-    cells = []
-    for name, expansion, base, rep in rows:
-        prate, frate = reduction_report(base, rep)
-        cells.append((name, f"{expansion:g}", str(rep.params),
-                      str(rep.flops_2x), f"{prate:.2f}", f"{frate:.2f}"))
-    if csv:
-        lines = [",".join(header)] + [",".join(c) for c in cells]
-        return "\n".join(lines) + "\n"
-    widths = [max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for c in cells:
-        lines.append("  ".join(c[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,9 @@ Two views of a module's intermediate channels:
 
 Activations are recorded post-shift, immediately before the second pointwise
 convolution consumes them: at the output of the block's `relu2`, which runs
-after the shift, so the values are shifted and rectified. Outputs are plain
+after the shift, so the values are shifted and rectified. The capture reaches
+the network only through its layer walk: an eval forward of the layers up to
+that point, which wraps no method and writes no attribute. Outputs are plain
 CSV so heatmaps can be replotted with any external tool.
 """
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import CscBlock
-from .nets import Network
+from .blocks import CscBlock, run_layers
+from .nets import EVAL_SLICE, Network
 from .pipeline import Dataset
 from .shift import ShiftSpec, group_index
 
@@ -53,39 +55,25 @@ def find_csc_block(net: Network, module_id: str) -> CscBlock:
 
 
 def record_activations(net: Network, dataset: Dataset, module_id: str,
-                       max_images: int = 256, batch_size: int = 64) -> ActivationTrace:
-    """Run eval-mode forwards and capture the module's post-shift activations.
+                       max_images: int = 256) -> ActivationTrace:
+    """Capture the module's post-shift activations with an eval prefix walk.
 
-    The block's `relu2` (the layer between the shift and the second 1x1) is
-    wrapped for the duration of the recording and its own `forward` is put
-    back afterwards, even if a forward raises.
+    `EVAL_SLICE` images at a time run through the layers before the block,
+    then through the block's children up to and including `relu2`. Nothing
+    after it runs, and no attribute of the network or its layers is written.
     """
     block = find_csc_block(net, module_id)
     n = min(len(dataset), max_images)
     if n == 0:
         raise ValueError("empty dataset")
+    names = [name for name, _ in net.layers]
+    prefix = net.layers[:names.index(module_id)]
+    inner = block.children()[:block.child_names.index("relu2") + 1]
     chunks = []
-    relu = block.relu2
-    forward = relu.forward
-    # a wrapper already set on the instance (a tracer's) is put back as found
-    patched = vars(relu).get("forward")
-
-    def capture(x, mode="train"):
-        out = forward(x, mode)                        # (b, mid, h, w)
+    for start in range(0, n, EVAL_SLICE):
+        x, _ = dataset.batch(np.arange(start, min(start + EVAL_SLICE, n)))
+        out = run_layers(inner, run_layers(prefix, x, "eval"), "eval")
         chunks.append(out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1]))
-        return out
-
-    relu.forward = capture
-    try:
-        for start in range(0, n, batch_size):
-            idx = np.arange(start, min(start + batch_size, n))
-            x, _ = dataset.batch(idx)
-            net.forward(x, "eval")
-    finally:
-        if patched is None:
-            del relu.forward
-        else:
-            relu.forward = patched
     samples = np.concatenate(chunks, axis=0)
     return ActivationTrace(module_id, samples, group_index(block.spec), block.spec)
 

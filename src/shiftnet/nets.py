@@ -66,6 +66,7 @@ class Network(Composite):
     that `backward` reads (an eval forward writes none), and
     `backward` drops them as it reads them. So `backward` raises RuntimeError
     unless a train-mode forward ran since the last forward or backward.
+    `discard_step` drops a train forward whose backward will not run.
     """
 
     def __init__(self, name: str, rows: list[ArchRow], num_classes: int,
@@ -108,6 +109,16 @@ class Network(Composite):
                                f"was {since} since the last backward")
         self._mode = None            # the layers drop their caches as they go
         return super().backward(dout)
+
+    def discard_step(self):
+        """Forget the last forward: reset the mode and clear every cache slot."""
+        self._mode = None
+        todo = [layer for _, layer in self.layers]
+        while todo:
+            layer = todo.pop()
+            vars(layer).pop("_saved", None)
+            if isinstance(layer, Composite):
+                todo.extend(child for _, child in layer.children())
 
     def zero_grads(self):
         for _, p in self.params():
@@ -356,7 +367,10 @@ def _row_from_dict(d: dict) -> ArchRow:
 def dump_config(net: Network) -> str:
     """Architecture as key=value sections, one per table row."""
     lines = ["[net]", f"name = {net.name}", f"num_classes = {net.num_classes}",
-             f"seed = {net.seed}", ""]
+             f"seed = {net.seed}"]
+    if net.input_channels != 3:
+        lines.append(f"input_channels = {net.input_channels}")
+    lines.append("")
     for i, row in enumerate(net.rows):
         lines.append(f"[row{i}]")
         for key, val in _row_to_dict(row).items():

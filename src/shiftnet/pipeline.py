@@ -298,7 +298,9 @@ def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
     """SGD training loop; deterministic under (schedule.seed, single thread).
 
     Raises TrainingDiverged with the first non-finite tensor's name if the
-    loss leaves the reals. Writes a final checkpoint when a path is given.
+    loss leaves the reals, with no step left in flight: no layer keeps a
+    cache and `net.backward` raises. Writes a final checkpoint when a path
+    is given.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -314,6 +316,7 @@ def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
         loss, probs = ops.softmax_xent(logits, y)
         if not np.isfinite(loss):
             culprit = _diagnose_nonfinite(net, x)
+            net.discard_step()
             raise TrainingDiverged(
                 f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")
         acc = float(np.mean(np.argmax(logits, axis=1) == y))

@@ -1,9 +1,9 @@
 import pytest
 
-from shiftnet.accounting import (arithmetic_intensity, comparison_table,
-                                 cost_report, count_flops, count_params,
-                                 format_table, memory_access_words,
-                                 reduction_report, report_to_csv)
+from shiftnet.accounting import (arithmetic_intensity, cost_report,
+                                 count_flops, count_params, format_table,
+                                 memory_access_words, reduction_report,
+                                 report_to_csv)
 from shiftnet.blocks import Conv, Shift
 from shiftnet.nets import build_resnet, build_shiftresnet, build_shiftnet
 from shiftnet.shift import make_shift_spec
@@ -142,13 +142,3 @@ class TestEmission:
         rep = cost_report(build_shiftresnet(20, 1), 32)
         text = format_table(rep)
         assert str(rep.params) in text and "flops_2x" in text
-
-    def test_comparison_table(self):
-        base = cost_report(build_resnet(20), 32)
-        rep = cost_report(build_shiftresnet(20, 3), 32)
-        out = comparison_table([("shiftresnet20-3", 3.0, base, rep)], csv=True)
-        header, row = out.strip().splitlines()
-        assert header == "model,expansion,params,flops_2x,param_rate,flop_rate"
-        cells = row.split(",")
-        assert cells[0] == "shiftresnet20-3"
-        assert int(cells[2]) == rep.params

@@ -5,8 +5,8 @@ from shiftnet.analysis import (ActivationTrace, contribution_norms,
                                contributions_to_csv, correlation_matrix,
                                correlations_to_csv, group_contribution_norms,
                                record_activations)
-from shiftnet.blocks import Composite
-from shiftnet.nets import EVAL_SLICE, Network, build_shiftresnet
+from shiftnet.blocks import Composite, Layer
+from shiftnet.nets import EVAL_SLICE, build_shiftresnet
 from shiftnet.pipeline import TrainSchedule, synth_dataset, train
 from shiftnet.shift import group_index, make_shift_spec
 
@@ -157,18 +157,14 @@ class TestRecording:
 
     def test_trace_shape_and_groups(self, trained):
         net, ds = trained
-        block = dict(net.named_blocks())["group1.block0"]
-        forward = block.relu2.forward
-        trace = record_activations(net, ds, "group1.block0", max_images=16,
-                                   batch_size=8)
+        trace = record_activations(net, ds, "group1.block0", max_images=16)
         assert trace.samples.shape == (16 * 32 * 32, 16)
         assert len(trace.groups) == 16
-        # block.relu2.forward is restored after recording
-        assert block.relu2.forward == forward
-        assert "forward" not in vars(block.relu2)
 
     def test_records_what_the_second_pointwise_reads(self, trained, monkeypatch):
-        net, ds = trained
+        """Equal to pw2's input in a full eval forward, and pw2 itself never runs."""
+        net, _ = trained
+        ds = synth_dataset(2 * EVAL_SLICE + 1, 10, seed=3)
         block = dict(net.named_blocks())["group2.block0"]
         seen = []
         forward = block.pw2.forward
@@ -178,21 +174,27 @@ class TestRecording:
             return forward(x, mode)
 
         monkeypatch.setattr(block.pw2, "forward", spy)
-        trace = record_activations(net, ds, "group2.block0", max_images=12,
-                                   batch_size=8)
-        assert np.array_equal(trace.samples, np.concatenate(seen))
-        assert trace.samples.min() >= 0
+        for n in (1, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
+            trace = record_activations(net, ds, "group2.block0", max_images=n)
+            assert seen == [], n
+            net.forward(ds.batch(np.arange(n))[0], "eval")
+            assert np.array_equal(trace.samples, np.concatenate(seen)), n
+            assert trace.samples.min() >= 0
+            seen.clear()
 
-    def test_sliced_eval_records_as_one_pass(self, trained, monkeypatch):
-        net, ds = trained
-        n = 2 * EVAL_SLICE + 1
-        big = synth_dataset(n, 10, seed=3)
-        sliced = record_activations(net, big, "group2.block1", max_images=n,
-                                    batch_size=n)
-        monkeypatch.setattr(Network, "forward", Composite.forward)
-        whole = record_activations(net, big, "group2.block1", max_images=n,
-                                   batch_size=n)
-        assert np.array_equal(sliced.samples, whole.samples)
+    def test_capture_writes_no_attribute(self, monkeypatch):
+        """After a train forward filled the caches, the capture sets no
+        attribute on any layer, composite or the network itself."""
+        net = build_shiftresnet(20, 1, seed=4)
+        ds = synth_dataset(EVAL_SLICE + 1, 10, seed=4)
+        net.forward(ds.batch(np.arange(4))[0], "train")
+
+        def refuse(obj, attr, value):
+            raise AssertionError(f"capture wrote {type(obj).__name__}.{attr}")
+        monkeypatch.setattr(Layer, "__setattr__", refuse)
+        monkeypatch.setattr(Composite, "__setattr__", refuse)
+        for module in ("group1.block0", "group2.block0", "group3.block2"):
+            record_activations(net, ds, module)
 
     def test_unknown_module(self, trained):
         net, ds = trained

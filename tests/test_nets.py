@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from shiftnet.accounting import count_params
-from shiftnet.blocks import BasicBlock, CscBlock
-from shiftnet.nets import (build_by_name, build_resnet, build_shiftnet,
-                           build_shiftresnet, dump_config, parse_config,
-                           rebuild, reduce_resnet, scaled_resnet)
+from shiftnet.blocks import BasicBlock, CscBlock, Shift
+from shiftnet.nets import (ArchRow, Network, build_by_name, build_resnet,
+                           build_shiftnet, build_shiftresnet, dump_config,
+                           parse_config, rebuild, reduce_resnet, scaled_resnet)
 
 
 class TestSkeletons:
@@ -165,6 +165,14 @@ class TestConfigRoundTrip:
         assert count_params(clone) == count_params(net)
         for (na, pa), (nb, pb) in zip(net.named_params(), clone.named_params()):
             assert na == nb and np.array_equal(pa.value, pb.value)
+
+    def test_dump_keeps_input_channels(self):
+        net = Network("shift_layer", [ArchRow("shift", "shift")], num_classes=0,
+                      input_channels=64)
+        clone = rebuild(parse_config(dump_config(net)))
+        assert clone.config() == net.config()
+        shift = clone.layers[0][1]
+        assert isinstance(shift, Shift) and shift.spec.channels == 64
 
     def test_dump_carries_table_columns(self):
         text = dump_config(build_shiftnet("a"))

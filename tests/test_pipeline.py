@@ -273,6 +273,24 @@ class TestTraining:
         for (name, a), old in zip(net.named_state(), before):
             assert np.array_equal(a, old), name
 
+    def test_divergence_leaves_no_step_in_flight(self):
+        net = build_shiftresnet(20, 1, seed=1)
+        dict(net.named_params())["group1.block0.bn1.gamma"].value[:] = 1e38
+        ds = synth_dataset(8, 4, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="activation group1.block0"):
+            train(net, ds, _tiny_sched(1))
+        todo, held = [net], []
+        while todo:
+            layer = todo.pop()
+            if getattr(layer, "_saved", None) is not None:
+                held.append(layer)
+            if isinstance(layer, Composite):
+                todo.extend(child for _, child in layer.children())
+        assert held == []
+        with pytest.raises(RuntimeError, match="train-mode forward"):
+            net.backward(np.ones((8, net.num_classes), dtype=np.float32))
+
     def test_empty_dataset(self):
         ds = synth_dataset(8, 4, seed=0)
         empty = Dataset(ds.images[:0], ds.labels[:0], "train", 4)
