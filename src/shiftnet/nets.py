@@ -104,9 +104,9 @@ class Network(Composite):
 
     def backward(self, dout):
         if self._mode != "train":
-            since = "no forward" if self._mode is None else f"a {self._mode!r} forward"
-            raise RuntimeError(f"backward needs a train-mode forward first; there "
-                               f"was {since} since the last backward")
+            why = ("no train-mode forward is pending" if self._mode is None
+                   else f"the last forward was a {self._mode!r} forward")
+            raise RuntimeError(f"backward needs a train-mode forward first; {why}")
         self._mode = None            # the layers drop their caches as they go
         return super().backward(dout)
 

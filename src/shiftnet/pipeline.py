@@ -1,10 +1,10 @@
 """Data ingestion, SGD training with a step schedule, evaluation, checkpoints.
 
 CIFAR-style binary batches (1 label byte + 3072 pixel bytes per record, RGB
-planes, 32x32 row-major) load into uint8 storage with per-channel
-standardization statistics computed from the train split only; pixels scale
-to [0, 1] before standardizing. A deterministic synthetic Gaussian-blob
-dataset supports desk-scale overfit runs without external data.
+planes, 32x32 row-major) load into one uint8 record array per split, pixels a
+view of it. Per-channel standardization statistics are exact sums over the
+train split only; pixels scale to [0, 1] before standardizing. Deterministic
+synthetic Gaussian-blob images support desk-scale runs without external data.
 
 Training is plain SGD with momentum and L2 weight decay; the learning rate
 decays by a fixed factor at the scheduled iteration marks. Runs are
@@ -81,7 +81,7 @@ class Dataset:
 
 
 def _read_cifar_records(paths: list[str]):
-    """uint8 pixels and int64 labels of the files' records, read a chunk at a time."""
+    """uint8 pixels, a view of one array the records are read into, and int64 labels."""
     record = _CIFAR10_RECORD
     counts = []
     for path in paths:
@@ -90,40 +90,50 @@ def _read_cifar_records(paths: list[str]):
             raise ValueError(f"{path}: size {size} is not a multiple of the "
                              f"{record}-byte record")
         counts.append(size // record)
-    pixels = np.empty((sum(counts), 3, 32, 32), dtype=np.uint8)
-    labels = np.empty(sum(counts), dtype=np.int64)
-    buf = np.empty((min(_CHUNK_RECORDS, max(counts)), record), dtype=np.uint8)
+    raw = np.empty((sum(counts), record), dtype=np.uint8)
     at = 0
     for path, count in zip(paths, counts):
         with open(path, "rb") as f:
             for start in range(0, count, _CHUNK_RECORDS):
-                chunk = buf[:min(_CHUNK_RECORDS, count - start)]
+                chunk = raw[at:at + min(_CHUNK_RECORDS, count - start)]
                 if f.readinto(chunk) != chunk.nbytes:
                     raise ValueError(f"{path}: short read at record {start}")
-                labels[at:at + len(chunk)] = chunk[:, 0]
-                pixels[at:at + len(chunk)] = chunk[:, 1:].reshape(-1, 3, 32, 32)
                 at += len(chunk)
-    return pixels, labels
+    return raw[:, 1:].reshape(-1, 3, 32, 32), raw[:, 0].astype(np.int64)
+
+
+# Values per float32 part of an image plane. A pixel x is at most 255, so
+# x^2 <= 65,025 and every partial sum of x or x^2 over one part is an integer
+# at most 256 * 65,025 = 16,646,400 < 2^24: float32 holds each exactly, in
+# any summation order. 512 would not (33,292,800 > 2^24).
+_STAT_PART = 256
+_STAT_IMAGES = 64
 
 
 def _standardize_stats(images_u8: np.ndarray):
     """Per-channel float32 mean and std of the [0, 1]-scaled images, from exact sums.
 
-    x and x^2 (x^2 fits uint16) are summed in int64 half a read chunk at a
-    time, so no copy outgrows the read buffer, then combined in Python ints,
-    because n * sum(x^2) overflows int64 at CIFAR size.
+    Each (image, channel) plane, as float32 zero-padded to whole parts, gives
+    exact per-part sum(x) (a GEMV with ones) and sum(x^2) (see `_STAT_PART`);
+    the parts add up in int64, then in Python ints, because n * sum(x^2)
+    overflows int64 at CIFAR size.
     """
-    s1, s2 = np.zeros((2, images_u8.shape[1]), dtype=np.int64)
-    step = _CHUNK_RECORDS // 2
-    for i in range(0, len(images_u8), step):
-        x = images_u8[i:i + step].astype(np.uint16)
-        s1 += x.sum(axis=(0, 2, 3), dtype=np.int64)
-        x *= x
-        s2 += x.sum(axis=(0, 2, 3), dtype=np.int64)
-        del x                    # before the next chunk's copy is made
-    n = images_u8.size // images_u8.shape[1]
-    mean = [int(a) / (255 * n) for a in s1]
-    var = [(n * int(q) - int(a) ** 2) / (255 * n) ** 2 for a, q in zip(s1, s2)]
+    b, c = images_u8.shape[:2]
+    plane = images_u8[0, 0].size
+    parts = -(-plane // _STAT_PART)
+    buf = np.zeros((min(_STAT_IMAGES, b), c, parts * _STAT_PART), dtype=np.float32)
+    ones = np.ones(_STAT_PART, dtype=np.float32)
+    sums = np.zeros((2, c), dtype=np.int64)
+    for i in range(0, b, _STAT_IMAGES):
+        block = images_u8[i:i + _STAT_IMAGES]
+        x = buf[:len(block)]
+        x[:, :, :plane] = block.reshape(len(block), c, plane)
+        rows = x.reshape(-1, _STAT_PART)
+        per_part = np.stack([rows @ ones, np.einsum("ij,ij->i", rows, rows)])
+        sums += per_part.reshape(2, len(block), c, parts).sum(axis=(1, 3), dtype=np.int64)
+    n = images_u8.size // c
+    mean = [int(a) / (255 * n) for a in sums[0]]
+    var = [(n * int(q) - int(a) ** 2) / (255 * n) ** 2 for a, q in sums.T]
     return np.array(mean, dtype=np.float32), np.maximum(np.sqrt(var), 1e-8).astype(np.float32)
 
 
@@ -132,7 +142,8 @@ def load_cifar10(directory: str) -> tuple[Dataset, Dataset]:
 
     Expects data_batch_*.bin plus test_batch.bin. Standardization statistics
     come from the train split and are shared with the test split. Records go
-    straight into the final arrays, so the peak is those plus one chunk.
+    straight into one array per split, so the peak is those plus the
+    statistics' float32 block of `_STAT_IMAGES` images.
     """
     train_files = sorted(f for f in os.listdir(directory)
                          if f.startswith("data_batch") and f.endswith(".bin"))

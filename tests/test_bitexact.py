@@ -9,6 +9,8 @@ tolerance. The convolution cases use the layer shapes the builders train.
 
 The CIFAR reader and writer work a chunk of records at a time; the oracles
 read whole files and concatenate, and write the whole split with `tobytes`.
+The standardization statistics sum exact float32 parts of each plane; the
+oracle takes float64 moments of the whole set.
 
 The aliasing tests pin the in-place rule of `blocks`: layers may overwrite
 arrays they own, but no block and no network writes to its `x` or `dout`.
@@ -193,12 +195,20 @@ class TestAgainstOracles:
 
     def test_standardize_stats(self):
         rng = np.random.default_rng(3)
-        sets = [rng.integers(0, 256, size=(2500, 3, 8, 8), dtype=np.uint8)]  # 3 chunks
+        sets = [rng.integers(0, 256, size=(2500, 3, 8, 8), dtype=np.uint8)]  # 40 blocks
         for _ in range(200):
             n, c, h = rng.integers(1, 40), rng.integers(1, 5), rng.integers(1, 9)
             lo = rng.integers(0, 256)
             hi = rng.integers(lo, 256) + 1
             sets.append(rng.integers(lo, hi, size=(n, c, h, h), dtype=np.uint8))
+        full = np.full((70, 3, 32, 32), 255, dtype=np.uint8)  # each part: sum(x^2) = 16,646,400
+        near = full.copy()
+        near[:, :, 0, 0] = 254     # odd part sums: a 512-value part would round them
+        records = rng.integers(0, 256, size=(100, 3073), dtype=np.uint8)
+        sets += [full, near, np.full((70, 3, 17, 17), 255, dtype=np.uint8),
+                 rng.integers(0, 256, size=(70, 3, 17, 17), dtype=np.uint8),
+                 rng.integers(0, 256, size=(130, 3, 1, 1), dtype=np.uint8),
+                 records[:, 1:].reshape(-1, 3, 32, 32)]    # the loader's strided view
         for images in sets:
             mean, std = _standardize_stats(images)
             want_mean, want_std = stats_oracle(images)

@@ -3,11 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from shiftnet import ops
 from shiftnet.accounting import count_params
-from shiftnet.blocks import BasicBlock, CscBlock, Shift
+from shiftnet.blocks import BasicBlock, Composite, CscBlock, ReLU, Shift
 from shiftnet.nets import (ArchRow, Network, build_by_name, build_resnet,
                            build_shiftnet, build_shiftresnet, dump_config,
                            parse_config, rebuild, reduce_resnet, scaled_resnet)
+from shiftnet.pipeline import TrainSchedule, synth_dataset, train
 
 
 class TestSkeletons:
@@ -234,3 +236,58 @@ class TestTrainKeepsNoCaches:
         finally:
             tracemalloc.stop()
         assert held < 2 ** 20, f"{held} bytes held after forward and backward"
+
+
+def _relus(layer):
+    if isinstance(layer, ReLU):
+        return [layer]
+    if isinstance(layer, Composite):
+        return [r for _, child in layer.children() for r in _relus(child)]
+    return []
+
+
+def _step_grads(net, x, y):
+    """Parameter gradients of one train step, and each ReLU's kept-value mask."""
+    net.zero_grads()
+    logits = net.forward(x, "train")
+    masks = [relu._saved > 0 for relu in _relus(net)]
+    _, probs = ops.softmax_xent(logits, y)
+    net.backward(ops.softmax_xent_backward(probs, y))
+    return {name: p.grad.copy() for name, p in net.named_params()}, masks
+
+
+class TestFloat64GradientOracle:
+    """One float32 train step of shiftresnet20-1 against the same step in float64.
+
+    The float64 copy takes the float32 net's ReLU masks: a pre-activation
+    within rounding of zero may fall on the other side of the kink in float64
+    (one of 524,288 did after 3 steps at seed 0, moving three group1.block2
+    gradients by 1e-4), and that is a branch, not rounding. Measured with
+    these masks, the worst per-parameter relative error was 9.5e-7 at init and
+    1.3e-6 after 3 steps (medians 3.8e-7, 5.5e-7); the bound leaves headroom.
+    """
+
+    BOUND = 1e-5
+
+    def _errors(self, net32, x, y):
+        net64 = build_shiftresnet(20, 1, dtype=np.float64)
+        live = dict(net64.named_state())
+        for name, a in net32.named_state():
+            live[name][...] = a
+        g32, masks = _step_grads(net32, x, y)
+        for relu, keep in zip(_relus(net64), masks, strict=True):
+            relu.run = lambda h, mode, keep=keep: (np.multiply(h, keep, out=h), keep)
+        g64, _ = _step_grads(net64, x.astype(np.float64), y)
+        return {name: np.linalg.norm(g32[name] - g64[name]) / np.linalg.norm(g64[name])
+                for name in g64}
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_float32_step_matches_float64(self, steps):
+        ds = synth_dataset(32, 10, seed=0)
+        x, y = ds.batch(np.arange(32))
+        net = build_shiftresnet(20, 1, seed=0)
+        if steps:
+            train(net, ds, TrainSchedule(max_iters=steps, batch_size=32, seed=0))
+        errors = self._errors(net, x, y)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] < self.BOUND, (worst, errors[worst])

@@ -288,7 +288,7 @@ class TestTraining:
             if isinstance(layer, Composite):
                 todo.extend(child for _, child in layer.children())
         assert held == []
-        with pytest.raises(RuntimeError, match="train-mode forward"):
+        with pytest.raises(RuntimeError, match="no train-mode forward is pending"):
             net.backward(np.ones((8, net.num_classes), dtype=np.float32))
 
     def test_empty_dataset(self):
