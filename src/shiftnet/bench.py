@@ -175,9 +175,9 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
     return rows
 
 
-def run_bench(cases: list[BenchCase] | None = None, seed: int = 0) -> BenchReport:
+def run_bench(cases: list[BenchCase], seed: int = 0) -> BenchReport:
     """Run the suite; correctness gates precede any timing."""
     report = BenchReport()
-    for case in cases or default_suite():
+    for case in cases:
         report.rows.extend(run_case(case, seed))
     return report

@@ -115,7 +115,7 @@ class Layer:
     param_names: tuple[str, ...] = ()
     _saved = None
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode):
         y, saved = self.run(x, mode)
         if mode == "train":
             self._saved = saved
@@ -148,7 +148,7 @@ class Composite:
     def children(self):
         return [(c, getattr(self, c)) for c in self.child_names]
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode):
         return run_layers(self.children(), x, mode)
 
     def backward(self, dout):
@@ -357,7 +357,7 @@ class Residual(Composite):
     concat = False
     _saved = None
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode):
         main = super().forward(x, mode)
         if self.shortcut is None:
             return main

@@ -22,31 +22,28 @@ def _resolve_arch(args) -> Network:
     if os.path.exists(args.arch):
         with open(args.arch) as f:
             cfg = nets.parse_config(f.read())
-        if getattr(args, "classes", None):
+        if args.classes:
             cfg["num_classes"] = args.classes
         if args.seed is not None:
             cfg["seed"] = args.seed
         return nets.rebuild(cfg)
     seed = args.seed or 0
-    if args.arch.lower() == "shift_layer":
-        rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
-        return Network("shift_layer", rows, num_classes=0,
-                       input_channels=getattr(args, "channels", 16))
-    net = nets.build_by_name(args.arch, expansion=args.expansion,
-                             num_classes=getattr(args, "classes", None),
-                             seed=seed)
     reduce_mode = getattr(args, "reduce", None)
     if reduce_mode:
         if not args.arch.lower().startswith("resnet"):
             raise ValueError("--reduce applies to plain resnet architectures")
-        if not getattr(args, "target_params", None):
+        if not args.target_params:
             raise ValueError("--reduce needs --target-params")
         depth = int(args.arch.lower()[len("resnet"):])
         mode = {"module": "module_wise", "net": "net_wise"}[reduce_mode]
-        net = nets.reduce_resnet(depth, args.target_params, mode,
-                                 num_classes=getattr(args, "classes", None) or 10,
-                                 seed=seed)
-    return net
+        return nets.reduce_resnet(depth, args.target_params, mode,
+                                  num_classes=args.classes or 10, seed=seed)
+    if args.arch.lower() == "shift_layer":
+        rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
+        return Network("shift_layer", rows, num_classes=0,
+                       input_channels=getattr(args, "channels", 16))
+    return nets.build_by_name(args.arch, expansion=args.expansion,
+                              num_classes=args.classes, seed=seed)
 
 
 def _load_data(spec: str, num_classes: int, seed: int, synth_n: int):
@@ -91,7 +88,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.subset < 0:
+        raise ValueError(f"--subset must be >= 0 (0 trains on all), got {args.subset}")
     net = _resolve_arch(args)
+    if net.num_classes < 1:
+        raise ValueError(f"{net.name} has no classifier to train")
     data_spec = args.data or os.environ.get(DATA_ENV) or "synth"
     seed = args.seed or 0
     train_ds, _ = _load_data(data_spec, net.num_classes, seed, args.synth_n)
@@ -161,21 +162,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_arch(args) -> int:
-    if args.arch_cmd == "dump":
-        net = _resolve_arch(args)
-        sys.stdout.write(nets.dump_config(net))
-        return 0
-    raise ValueError(f"unknown arch subcommand {args.arch_cmd!r}")
+def _cmd_arch_dump(args) -> int:
+    sys.stdout.write(nets.dump_config(_resolve_arch(args)))
+    return 0
 
 
-def _add_arch_flags(p, classes_default=None):
+def _add_arch_flags(p):
     p.add_argument("--arch", required=True,
                    help="architecture name or config file path")
     p.add_argument("--expansion", type=float, default=1.0)
-    p.add_argument("--classes", type=int, default=classes_default)
+    p.add_argument("--classes", type=int)
     p.add_argument("--seed", type=int,
                    help="weight seed (default: a config file's own, else 0)")
+
+
+def _add_shift_layer_flags(p):
     p.add_argument("--channels", type=int, default=16,
                    help="channel count for shift_layer queries")
     p.add_argument("--kernel", type=int, default=3,
@@ -191,6 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="parameter/FLOP report for an architecture")
     _add_arch_flags(p)
+    _add_shift_layer_flags(p)
     p.add_argument("--input", type=int, default=32)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--per-layer", action="store_true")
@@ -246,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     arch_sub = p.add_subparsers(dest="arch_cmd", required=True)
     pd = arch_sub.add_parser("dump", help="print the table-style config")
     _add_arch_flags(pd)
-    pd.set_defaults(fn=_cmd_arch)
+    _add_shift_layer_flags(pd)
+    pd.set_defaults(fn=_cmd_arch_dump)
 
     return parser
 

@@ -93,9 +93,9 @@ class Network(Composite):
     def children(self):
         return self.layers
 
-    def forward(self, x, mode="train"):
+    def forward(self, x, mode):
         self._mode = mode
-        if mode != "eval" or len(x) <= EVAL_SLICE or not self._body_end:
+        if mode != "eval" or not self._body_end:
             return super().forward(x, mode)
         body, head = self.layers[:self._body_end], self.layers[self._body_end:]
         h = np.concatenate([run_layers(body, x[i:i + EVAL_SLICE], mode)
@@ -152,19 +152,18 @@ def _make_layer(row: ArchRow, width: int, num_classes: int,
         layer = StemConv(width, row.out_channels, row.kernel, row.stride,
                          seeds.next(), dtype)
         return row.label, layer, row.out_channels
-    if row.type in ("csc", "sc2"):
-        cfg = CscConfig(width, row.out_channels, row.expansion, row.kernel,
-                        row.dilation, row.stride, variant=row.type,
-                        downsample=row.downsample,
-                        permutation_id=row.permutation_id)
+    if row.type in ("csc", "sc2", "basic"):
         idx = counters.get(row.label, 0)
         counters[row.label] = idx + 1
-        return f"{row.label}.block{idx}", CscBlock(cfg, seeds, dtype), row.out_channels
-    if row.type == "basic":
-        idx = counters.get(row.label, 0)
-        counters[row.label] = idx + 1
-        layer = BasicBlock(width, row.out_channels, row.stride, seeds,
-                           mid_channels=row.mid_channels, dtype=dtype)
+        if row.type == "basic":
+            layer = BasicBlock(width, row.out_channels, row.stride, seeds,
+                               mid_channels=row.mid_channels, dtype=dtype)
+        else:
+            cfg = CscConfig(width, row.out_channels, row.expansion, row.kernel,
+                            row.dilation, row.stride, variant=row.type,
+                            downsample=row.downsample,
+                            permutation_id=row.permutation_id)
+            layer = CscBlock(cfg, seeds, dtype)
         return f"{row.label}.block{idx}", layer, row.out_channels
     if row.type == "shift":
         spec = make_shift_spec(width, row.kernel, row.dilation)
@@ -211,15 +210,12 @@ def build_resnet(depth: int, num_classes: int = 10, seed: int = 0,
 
 
 def build_shiftresnet(depth: int, expansion: float, num_classes: int = 10,
-                      seed: int = 0, kernel_size: int = 3, dilation: int = 1,
-                      dtype=REAL) -> Network:
-    """Residual network with every basic block replaced by a conv-shift-conv block."""
-    if expansion <= 0:
-        raise ValueError("expansion must be positive")
+                      seed: int = 0, dtype=REAL) -> Network:
+    """Resnet with every basic block replaced by a conv-shift-conv block (3x3 shift)."""
 
     def csc(label, w, stride, repeat):
         return ArchRow(label, "csc", w, repeat=repeat, stride=stride,
-                       kernel=kernel_size, expansion=expansion, dilation=dilation)
+                       expansion=expansion)
 
     name = f"shiftresnet{depth}-{expansion:g}"
     return Network(name, _cifar_skeleton(depth, csc), num_classes, seed,

@@ -17,6 +17,7 @@ stay the bare products of the kernel dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,14 +46,14 @@ class ConvKernel:
 
 @dataclass
 class BatchNormState:
-    """Per-channel affine batch normalization state."""
+    """Per-channel affine batch norm state; `momentum` and `epsilon` are constants."""
 
     gamma: np.ndarray
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    epsilon: float = 1e-5
+    momentum: ClassVar[float] = 0.9
+    epsilon: ClassVar[float] = 1e-5
 
     @staticmethod
     def create(channels: int, dtype=np.float32) -> "BatchNormState":
@@ -195,7 +196,7 @@ def conv2d_pointwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKerne
     return dx, dw
 
 
-def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str = "train"):
+def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     """Normalize per channel. Returns (y, cache); train mode updates running stats.
 
     Train-mode normalization uses biased batch statistics over (batch, row,

@@ -30,7 +30,7 @@ from .nets import Network, rebuild
 from .tensor import REAL, blob_dump, blob_load
 
 _CIFAR10_RECORD = 3073
-# Records read or written per chunk, so no whole-split buffer is made.
+# Records written per chunk, so no whole-split byte buffer is made.
 _CHUNK_RECORDS = 1024
 
 
@@ -94,11 +94,10 @@ def _read_cifar_records(paths: list[str]):
     at = 0
     for path, count in zip(paths, counts):
         with open(path, "rb") as f:
-            for start in range(0, count, _CHUNK_RECORDS):
-                chunk = raw[at:at + min(_CHUNK_RECORDS, count - start)]
-                if f.readinto(chunk) != chunk.nbytes:
-                    raise ValueError(f"{path}: short read at record {start}")
-                at += len(chunk)
+            got = f.readinto(raw[at:at + count])
+        if got != count * record:
+            raise ValueError(f"{path}: short read, {got} of {count * record} bytes")
+        at += count
     return raw[:, 1:].reshape(-1, 3, 32, 32), raw[:, 0].astype(np.int64)
 
 
@@ -188,16 +187,16 @@ def write_cifar10_batches(directory: str, images_u8: np.ndarray,
                 f.write(chunk)
 
 
-def synth_dataset(n: int, classes: int, image_shape=(3, 32, 32),
-                  seed: int = 0) -> Dataset:
-    """Deterministic class-conditional Gaussian-blob images with balanced labels.
+def synth_dataset(n: int, classes: int, seed: int = 0) -> Dataset:
+    """Deterministic class-conditional Gaussian-blob 3x32x32 images with balanced labels.
 
     Each class owns a fixed blob center and color; images are that blob plus
     mild noise, which makes the set linearly separable and quick to overfit.
     """
+    _require_positive("classes", classes)
     if n < classes:
         raise ValueError(f"need at least one example per class ({n} < {classes})")
-    c, h, w = image_shape
+    c, h, w = 3, 32, 32
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     templates = np.empty((classes, c, h, w), dtype=np.float32)

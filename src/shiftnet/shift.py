@@ -33,7 +33,8 @@ class ShiftSpec:
     displacements[m] is the (dy, dx) translation of channel m, with
     dy, dx in [-(kernel_size // 2) * dilation, +(kernel_size // 2) * dilation].
     Specs serialize as (channels, kernel_size, dilation, permutation_id);
-    the displacement table is always recomputed, never stored.
+    the displacement table is always recomputed, never stored. A table whose
+    length is not `channels`, or that leaves the dilated window, raises ValueError.
     """
 
     channels: int
@@ -41,6 +42,18 @@ class ShiftSpec:
     dilation: int
     permutation_id: int
     displacements: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if len(self.displacements) != self.channels:
+            raise ValueError(f"{len(self.displacements)} displacements for "
+                             f"{self.channels} channels")
+        d = self.dilation
+        window = {(dy * d, dx * d) for dy, dx in window_directions(self.kernel_size)}
+        for disp in self.displacements:
+            if disp not in window:
+                raise ValueError(f"displacement {disp} is not a position of the "
+                                 f"{self.kernel_size}x{self.kernel_size} window "
+                                 f"at dilation {d}")
 
 
 def window_directions(kernel_size: int) -> list[tuple[int, int]]:
@@ -110,24 +123,15 @@ def channel_groups(spec: ShiftSpec) -> list[tuple[tuple[int, int], object]]:
     return out
 
 
-def _negated(spec: ShiftSpec) -> ShiftSpec:
-    return ShiftSpec(spec.channels, spec.kernel_size, spec.dilation,
-                     spec.permutation_id,
-                     tuple((-dy, -dx) for dy, dx in spec.displacements))
-
-
-def shift_forward(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Translate each channel by its displacement; vacated positions read zero.
-
-    out[b, m, k, l] = x[b, m, k + dy_m, l + dx_m], with out-of-range reads as 0.
-    Performs no arithmetic, only strided copies within each channel plane.
-    """
+def _move(x: np.ndarray, spec: ShiftSpec, sign: int, what: str) -> np.ndarray:
+    """Translate each channel by sign * its displacement; vacated positions read zero."""
     if x.shape[1] != spec.channels:
-        raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
+        raise ValueError(f"channel mismatch: {what} has {x.shape[1]}, "
                          f"spec expects {spec.channels}")
     _, _, h, w = x.shape
     out = np.empty_like(x)
     for (dy, dx), chans in channel_groups(spec):
+        dy, dx = sign * dy, sign * dx
         r0, r1 = max(0, -dy), min(h, h - dy)
         c0, c1 = max(0, -dx), min(w, w - dx)
         if r0 >= r1 or c0 >= c1:
@@ -140,12 +144,18 @@ def shift_forward(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
     return out
 
 
+def shift_forward(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
+    """Translate each channel by its displacement; vacated positions read zero.
+
+    out[b, m, k, l] = x[b, m, k + dy_m, l + dx_m], with out-of-range reads as 0.
+    Performs no arithmetic, only strided copies within each channel plane.
+    """
+    return _move(x, spec, 1, "input")
+
+
 def shift_backward(dout: np.ndarray, spec: ShiftSpec) -> np.ndarray:
     """Adjoint of shift_forward: the same movement with every displacement negated."""
-    if dout.shape[1] != spec.channels:
-        raise ValueError(f"channel mismatch: gradient has {dout.shape[1]}, "
-                         f"spec expects {spec.channels}")
-    return shift_forward(dout, _negated(spec))
+    return _move(dout, spec, -1, "gradient")
 
 
 def one_hot_depthwise_kernel(spec: ShiftSpec, dtype=np.float32) -> ConvKernel:

@@ -7,8 +7,12 @@ depend on it (criterion 8a's loss ratio moves with the summation order of
 the train path). So every comparison here is `array_equal`, never a
 tolerance. The convolution cases use the layer shapes the builders train.
 
-The CIFAR reader and writer work a chunk of records at a time; the oracles
-read whole files and concatenate, and write the whole split with `tobytes`.
+A shift's backward moves each group by its negated displacement; the oracle
+is the backward it replaced, a forward over a second, negated spec.
+
+The CIFAR reader reads each file into the split's one array and the writer
+works a chunk of records at a time; the oracles read whole files and
+concatenate, and write the whole split with `tobytes`.
 The standardization statistics sum exact float32 parts of each plane; the
 oracle takes float64 moments of the whole set.
 
@@ -33,7 +37,8 @@ from shiftnet.blocks import BasicBlock, Composite, CscBlock, CscConfig, SeedStre
 from shiftnet.nets import build_resnet, build_shiftresnet, reduce_resnet
 from shiftnet.ops import BatchNormState, ConvKernel
 from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
-from shiftnet.shift import channel_groups, make_shift_spec, shift_forward
+from shiftnet.shift import (ShiftSpec, channel_groups, make_shift_spec,
+                            shift_backward, shift_forward)
 
 
 def avgpool_oracle(x):
@@ -101,6 +106,13 @@ def shift_oracle(x, spec):
         if r0 < r1 and c0 < c1:
             out[:, chans, r0:r1, c0:c1] = x[:, chans, r0 + dy:r1 + dy, c0 + dx:c1 + dx]
     return out
+
+
+def negated_spec_oracle(spec):
+    """The backward's old spec: every displacement negated, rebuilt per call."""
+    return ShiftSpec(spec.channels, spec.kernel_size, spec.dilation,
+                     spec.permutation_id,
+                     tuple((-dy, -dx) for dy, dx in spec.displacements))
 
 
 def stats_oracle(images_u8):
@@ -192,6 +204,9 @@ class TestAgainstOracles:
         spec = make_shift_spec(channels, kernel, dilation, perm)
         x = _f32(rng, 4, channels, side, side)
         assert np.array_equal(shift_forward(x, spec), shift_oracle(x, spec))
+        dout = _f32(rng, 4, channels, side, side)
+        assert np.array_equal(shift_backward(dout, spec),
+                              shift_forward(dout, negated_spec_oracle(spec)))
 
     def test_standardize_stats(self):
         rng = np.random.default_rng(3)

@@ -155,6 +155,29 @@ class TestWorkflows:
         assert f"{field} must be at least 1, got 0" in err
         assert not os.path.exists(out)
 
+    def test_train_rejects_a_net_without_classifier(self, capsys):
+        code, _, err = run_cli(capsys, "train", "--arch", "shift_layer",
+                               "--data", "synth", "--synth-n", "16",
+                               "--iters", "2", "--batch", "8")
+        assert code == 1
+        assert "shift_layer has no classifier to train" in err
+
+    def test_train_rejects_negative_subset(self, capsys, tmp_path):
+        out = str(tmp_path / "never.json")
+        code, _, err = run_cli(capsys, "train", "--arch", "shiftresnet20",
+                               "--expansion", "0.25", "--data", "synth",
+                               "--synth-n", "16", "--iters", "1", "--batch", "4",
+                               "--subset", "-5", "--out", out)
+        assert code == 1
+        assert "--subset must be >= 0" in err
+        assert not os.path.exists(out)
+
+    def test_shift_layer_flags_are_not_train_flags(self, capsys):
+        code, _, err = run_cli(capsys, "train", "--arch", "shiftresnet20",
+                               "--channels", "4")
+        assert code == 2
+        assert "--channels" in err
+
     def test_eval_rejects_batch_below_one(self, capsys, ckpt):
         code, _, err = run_cli(capsys, "eval", "--ckpt", ckpt, "--data", "synth",
                                "--synth-n", "64", "--batch", "-5")

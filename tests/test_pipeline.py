@@ -173,6 +173,10 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset(5, 10)
 
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="classes must be at least 1, got 0"):
+            synth_dataset(16, 0)
+
 
 class TestSchedule:
     def test_lr_decay_points(self):

@@ -45,6 +45,17 @@ class TestSpecConstruction:
         with pytest.raises(ValueError):
             make_shift_spec(8, 3, dilation=0)
 
+    def test_table_shorter_than_channels_rejected(self):
+        # shift_forward would leave channels 1-3 uninitialized
+        with pytest.raises(ValueError, match="1 displacements for 4 channels"):
+            ShiftSpec(4, 3, 1, 0, ((0, 1),))
+
+    def test_displacement_off_the_window_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 5\) is not a position"):
+            ShiftSpec(2, 3, 1, 0, ((0, 5), (0, 0)))
+        with pytest.raises(ValueError, match="at dilation 2"):
+            ShiftSpec(1, 3, 2, 0, ((0, 1),))       # not a multiple of the dilation
+
     @given(st.integers(1, 64), st.sampled_from([1, 3, 5]), st.integers(1, 3),
            st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
