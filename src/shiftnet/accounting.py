@@ -2,9 +2,10 @@
 
 This module is the one owner of the counting convention. Layers report only
 their kind and shape (`LayerCost`: in/out channels M/N, output side Df,
-kernel side Dk); the per-kind table `COUNTS` turns that into parameters,
-multiply-accumulates and modeled memory traffic, applied uniformly and
-reported explicitly:
+kernel side Dk); building the entry reads the per-kind table `COUNTS` once
+and keeps the parameters, multiply-accumulates and modeled memory traffic
+on it, so reports sum entries and never recount. The convention, applied
+uniformly and reported explicitly:
 
 * params: conv k^2*M*N (the 1x1 "pointwise" kind is conv at k = 1),
   depthwise k^2*M, batch norm 2 per channel (affine terms only; running
@@ -16,7 +17,7 @@ reported explicitly:
 * flops_2x: 2 * macs, for comparison against sources that count a
   multiply-accumulate as two floating point operations.
 * words: input and output activations plus weights, each moved once.
-* arithmetic intensity: macs / words.
+* arithmetic intensity: macs / words (`LayerCost.ai`), 0 without MACs.
 
 Reports are pure functions of the architecture and input shape; weights
 never enter. Thread-safe.
@@ -48,23 +49,11 @@ COUNTS = {
 }
 
 
-def layer_counts(kind: str, m: int, n: int, feature_size: int,
-                 kernel_size: int) -> tuple[int, int, int | None]:
-    """(params, MACs, words moved) of one layer with a feature_size^2 output.
-
-    Words are the activations plus the weights, each moved once; None where
-    the kind's traffic is not modeled.
-    """
-    if kind not in COUNTS:
-        raise ValueError(f"unknown layer kind {kind!r}")
-    params, taps, words = COUNTS[kind](m, n, kernel_size)
-    df2 = feature_size * feature_size
-    return params, taps * df2, None if words is None else words * df2 + taps
-
-
 @dataclass
 class LayerCost:
-    """Architecture-only cost of one layer; params and macs follow from the shape."""
+    """Architecture-only cost of one layer: its shape, and the params, macs and
+    words (None where traffic is not modeled) that `COUNTS` gives it once, when
+    built. An unknown kind raises ValueError."""
 
     name: str
     kind: str          # conv | depthwise | pointwise | shift | bn | fc
@@ -75,11 +64,21 @@ class LayerCost:
     note: str = ""
     params: int = field(init=False)
     macs: int = field(init=False)
+    words: int | None = field(init=False)
 
     def __post_init__(self):
-        self.params, self.macs, _ = layer_counts(
-            self.kind, self.in_channels, self.out_channels, self.feature_size,
-            self.kernel_size)
+        if self.kind not in COUNTS:
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+        params, taps, words = COUNTS[self.kind](self.in_channels, self.out_channels,
+                                                self.kernel_size)
+        df2 = self.feature_size * self.feature_size
+        self.params, self.macs = params, taps * df2
+        self.words = None if words is None else words * df2 + taps
+
+    @property
+    def ai(self) -> float:
+        """Arithmetic intensity: MACs over words moved, 0 without arithmetic."""
+        return self.macs / self.words if self.macs else 0.0
 
 
 @dataclass
@@ -106,37 +105,26 @@ def arithmetic_intensity(kind: str, m: int, n: int, feature_size: int,
     arithmetic (a shift, batch norm) has ratio 0, though a shift's traffic
     is still modeled.
     """
-    _, macs, words = layer_counts(kind, m, n, feature_size, kernel_size)
-    return macs / words if macs else 0.0
+    return LayerCost(kind, kind, m, n, feature_size, kernel_size).ai
 
 
 def memory_access_words(kind: str, m: int, n: int, feature_size: int,
                         kernel_size: int) -> int:
     """Modeled words moved by one layer: Df^2*(M+N) + Dk^2*M*N for conv,
     Df^2*2M + Dk^2*M for depthwise and Df^2*2M for a shift."""
-    words = layer_counts(kind, m, n, feature_size, kernel_size)[2]
+    words = LayerCost(kind, kind, m, n, feature_size, kernel_size).words
     if words is None:
         raise ValueError(f"no memory model for layer kind {kind!r}")
     return words
 
 
 def cost_report(net, input_size: int = 32) -> CostReport:
-    """Walk a network's layers and total their parameter and MAC costs."""
+    """Total a network's layer costs; rows, totals and notes read its entries."""
     entries: list[LayerCost] = net.cost_entries(input_size)
-    per_layer = []
-    notes = []
-    total_params = 0
-    total_macs = 0
-    for e in entries:
-        ai = arithmetic_intensity(e.kind, e.in_channels, e.out_channels,
-                                  e.feature_size, e.kernel_size)
-        per_layer.append((e.name, e.params, e.macs, ai))
-        total_params += e.params
-        total_macs += e.macs
-        if e.note:
-            notes.append(f"{e.name}: {e.note}")
-    return CostReport(net.name, input_size, total_params, total_macs,
-                      per_layer, tuple(notes))
+    return CostReport(net.name, input_size, sum(e.params for e in entries),
+                      sum(e.macs for e in entries),
+                      [(e.name, e.params, e.macs, e.ai) for e in entries],
+                      tuple(f"{e.name}: {e.note}" for e in entries if e.note))
 
 
 def count_params(net) -> int:

@@ -8,6 +8,9 @@ Two views of a module's intermediate channels:
   pointwise kernel, scaled so the largest is 1.0, optionally aggregated per
   shift group.
 
+Group membership is the block's `ShiftSpec.group_ids`, derived once with the
+spec; nothing here regroups channels.
+
 Activations are recorded post-shift, immediately before the second pointwise
 convolution consumes them: at the output of the block's `relu2`, which runs
 after the shift, so the values are shifted and rectified. The capture reaches
@@ -25,7 +28,7 @@ import numpy as np
 from .blocks import CscBlock, run_layers
 from .nets import EVAL_SLICE, Network
 from .pipeline import Dataset
-from .shift import ShiftSpec, group_index
+from .shift import ShiftSpec
 
 
 @dataclass
@@ -75,7 +78,7 @@ def record_activations(net: Network, dataset: Dataset, module_id: str,
         out = run_layers(inner, run_layers(prefix, x, "eval"), "eval")
         chunks.append(out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1]))
     samples = np.concatenate(chunks, axis=0)
-    return ActivationTrace(module_id, samples, group_index(block.spec), block.spec)
+    return ActivationTrace(module_id, samples, block.spec.group_ids, block.spec)
 
 
 def correlation_matrix(trace: ActivationTrace, group: int) -> np.ndarray:
@@ -116,11 +119,10 @@ def contribution_norms(weights: np.ndarray) -> np.ndarray:
 def group_contribution_norms(weights: np.ndarray, spec: ShiftSpec) -> np.ndarray:
     """Per-shift-group sums of channel contributions, rescaled to max 1.0."""
     v = contribution_norms(weights)
-    gidx = group_index(spec)
     n_groups = spec.kernel_size ** 2
     sums = np.zeros(n_groups)
     for g in range(n_groups):
-        sums[g] = v[gidx == g].sum()
+        sums[g] = v[spec.group_ids == g].sum()
     top = sums.max()
     return sums / top if top > 0 else sums
 
@@ -128,9 +130,7 @@ def group_contribution_norms(weights: np.ndarray, spec: ShiftSpec) -> np.ndarray
 def correlations_to_csv(trace: ActivationTrace) -> str:
     """All groups' correlation heatmap data: group,row,col,value."""
     lines = ["group,row,col,value"]
-    for g in range(trace.spec.kernel_size ** 2):
-        if not np.any(trace.groups == g):
-            continue
+    for g in np.unique(trace.groups):
         corr = correlation_matrix(trace, g)
         for i in range(corr.shape[0]):
             for j in range(corr.shape[1]):
@@ -141,10 +141,9 @@ def correlations_to_csv(trace: ActivationTrace) -> str:
 def contributions_to_csv(weights: np.ndarray, spec: ShiftSpec) -> str:
     """Per-channel contributions: channel,group,dy,dx,value."""
     v = contribution_norms(weights)
-    gidx = group_index(spec)
     lines = ["channel,group,dy,dx,value"]
     for m in range(len(v)):
         dy, dx = spec.displacements[m]
-        lines.append(f"{m},{gidx[m]},{dy},{dx},{v[m]:.8g}")
+        lines.append(f"{m},{spec.group_ids[m]},{dy},{dx},{v[m]:.8g}")
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .accounting import layer_counts
+from .accounting import LayerCost
 from .nets import parse_sections
 from .ops import (ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial,
                   out_size)
@@ -141,9 +141,9 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
 
     def add(variant, stages, fn):
         med, p10, p90 = _time_callable(fn, case.reps, case.warmup)
-        counts = [layer_counts(kind, m, n, side, kk) for kind, side, kk in stages]
+        costs = [LayerCost(kind, kind, m, n, side, kk) for kind, side, kk in stages]
         rows.append(BenchRow(case.kind, case.dims, variant, med, p10, p90,
-                             sum(c[2] for c in counts), sum(c[1] for c in counts)))
+                             sum(c.words for c in costs), sum(c.macs for c in costs)))
 
     if case.kind == "spatial":
         kern = ConvKernel(rng.normal(size=(k, k, m, n)).astype(np.float32),

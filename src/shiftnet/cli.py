@@ -39,6 +39,10 @@ def _resolve_arch(args) -> Network:
         return nets.reduce_resnet(depth, args.target_params, mode,
                                   num_classes=args.classes or 10, seed=seed)
     if args.arch.lower() == "shift_layer":
+        for flag in ("classes", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to shift_layer, "
+                                 "which has no weights and no classifier")
         rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
         return Network("shift_layer", rows, num_classes=0,
                        input_channels=getattr(args, "channels", 16))
@@ -82,8 +86,9 @@ def _cmd_count(args) -> int:
         base_rep = accounting.cost_report(base, args.input)
         prate, frate = accounting.reduction_report(base_rep, report)
         print(f"reduction vs {base.name}: params {prate:.2f}x  flops {frate:.2f}x")
-    for note in report.notes:
-        print(f"note: {note}")
+    if not args.per_layer:           # the table already lists the notes
+        for note in report.notes:
+            print(f"note: {note}")
     return 0
 
 

@@ -133,6 +133,8 @@ class Network(Composite):
                 if isinstance(layer, (CscBlock, BasicBlock))]
 
     def cost_entries(self, input_size: int = 32):
+        if input_size < 1:
+            raise ValueError(f"input size must be at least 1, got {input_size}")
         shape = (self.input_channels, input_size, input_size)
         return super().cost_entries("", shape)[0]
 

@@ -5,7 +5,8 @@ displacement drawn from a k x k window (scaled by a dilation factor).
 Positions shifted in from outside the tensor read as zero, which makes a
 shift exactly equivalent to a depthwise convolution whose kernel is one-hot
 per channel -- without the multiplications. A shift therefore costs zero
-parameters and zero FLOPs; only memory moves.
+parameters and zero FLOPs; only memory moves. Which channels move where is
+worked out once, when a ShiftSpec is built; the movers only read the spec.
 
 Channel-to-displacement assignment follows the even-split heuristic: with M
 channels and window side k, each of the k*k - 1 off-center displacements
@@ -19,7 +20,7 @@ assignment (selectable via permutation_id) is as good as any other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +29,18 @@ from .ops import ConvKernel, conv2d_pointwise, out_size
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Per-channel displacement table.
+    """Per-channel displacement table and the channel groups it implies.
 
     displacements[m] is the (dy, dx) translation of channel m, with
     dy, dx in [-(kernel_size // 2) * dilation, +(kernel_size // 2) * dilation].
     Specs serialize as (channels, kernel_size, dilation, permutation_id);
     the displacement table is always recomputed, never stored. A table whose
     length is not `channels`, or that leaves the dilated window, raises ValueError.
+
+    Validating the table also derives, once per spec, `group_ids` (each
+    channel's group, in window_directions order) and `groups` (each non-empty
+    group's displacement and channels: a slice when contiguous, else an index
+    array). Equality and hashing read the five fields only.
     """
 
     channels: int
@@ -42,18 +48,33 @@ class ShiftSpec:
     dilation: int
     permutation_id: int
     displacements: tuple[tuple[int, int], ...]
+    group_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.displacements) != self.channels:
             raise ValueError(f"{len(self.displacements)} displacements for "
                              f"{self.channels} channels")
         d = self.dilation
-        window = {(dy * d, dx * d) for dy, dx in window_directions(self.kernel_size)}
+        window = {(dy * d, dx * d): g
+                  for g, (dy, dx) in enumerate(window_directions(self.kernel_size))}
+        ids = []
         for disp in self.displacements:
             if disp not in window:
                 raise ValueError(f"displacement {disp} is not a position of the "
                                  f"{self.kernel_size}x{self.kernel_size} window "
                                  f"at dilation {d}")
+            ids.append(window[disp])
+        object.__setattr__(self, "group_ids", np.array(ids, dtype=np.int64))
+        self.group_ids.flags.writeable = False
+        groups = []
+        for disp, g in window.items():
+            chans = np.flatnonzero(self.group_ids == g)
+            if chans.size:
+                contiguous = chans[-1] - chans[0] + 1 == chans.size
+                groups.append((disp, slice(int(chans[0]), int(chans[-1]) + 1)
+                               if contiguous else chans))
+        object.__setattr__(self, "groups", tuple(groups))
 
 
 def window_directions(kernel_size: int) -> list[tuple[int, int]]:
@@ -94,35 +115,6 @@ def make_shift_spec(channels: int, kernel_size: int = 3, dilation: int = 1,
     return ShiftSpec(channels, kernel_size, dilation, permutation_id, tuple(disp))
 
 
-def group_index(spec: ShiftSpec) -> np.ndarray:
-    """Group id per channel, groups numbered in window_directions order."""
-    dirs = window_directions(spec.kernel_size)
-    lookup = {(dy * spec.dilation, dx * spec.dilation): g
-              for g, (dy, dx) in enumerate(dirs)}
-    return np.array([lookup[d] for d in spec.displacements], dtype=np.int64)
-
-
-def channel_groups(spec: ShiftSpec) -> list[tuple[tuple[int, int], object]]:
-    """Distinct displacements with their channel indexers (skips empty groups).
-
-    The indexer is a slice when the group's channels are contiguous (the
-    default channel-order assignment), else an index array.
-    """
-    gidx = group_index(spec)
-    dirs = window_directions(spec.kernel_size)
-    out = []
-    for g, (dy, dx) in enumerate(dirs):
-        chans = np.nonzero(gidx == g)[0]
-        if not chans.size:
-            continue
-        if chans.size == chans[-1] - chans[0] + 1:
-            indexer = slice(int(chans[0]), int(chans[-1]) + 1)
-        else:
-            indexer = chans
-        out.append(((dy * spec.dilation, dx * spec.dilation), indexer))
-    return out
-
-
 def _move(x: np.ndarray, spec: ShiftSpec, sign: int, what: str) -> np.ndarray:
     """Translate each channel by sign * its displacement; vacated positions read zero."""
     if x.shape[1] != spec.channels:
@@ -130,7 +122,7 @@ def _move(x: np.ndarray, spec: ShiftSpec, sign: int, what: str) -> np.ndarray:
                          f"spec expects {spec.channels}")
     _, _, h, w = x.shape
     out = np.empty_like(x)
-    for (dy, dx), chans in channel_groups(spec):
+    for (dy, dx), chans in spec.groups:
         dy, dx = sign * dy, sign * dx
         r0, r1 = max(0, -dy), min(h, h - dy)
         c0, c1 = max(0, -dx), min(w, w - dx)
@@ -198,7 +190,7 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
     b, _, h, wd = x.shape
     ho, wo = out_size(h, 1, s, 0), out_size(wd, 1, s, 0)
     out = np.zeros((b, w.shape[1], ho, wo), dtype=x.dtype)
-    for (dy, dx), chans in channel_groups(spec):
+    for (dy, dx), chans in spec.groups:
         # output rows k with 0 <= s*k + dy < h
         k0 = max(0, math.ceil(-dy / s))
         k1 = min(ho, (h - 1 - dy) // s + 1)

@@ -8,11 +8,11 @@ from shiftnet.analysis import (ActivationTrace, contribution_norms,
 from shiftnet.blocks import Composite, Layer
 from shiftnet.nets import EVAL_SLICE, build_shiftresnet
 from shiftnet.pipeline import TrainSchedule, synth_dataset, train
-from shiftnet.shift import group_index, make_shift_spec
+from shiftnet.shift import make_shift_spec
 
 
 def _trace_from(samples, spec):
-    return ActivationTrace("m", samples, group_index(spec), spec)
+    return ActivationTrace("m", samples, spec.group_ids, spec)
 
 
 def _correlation_oracle(x):
@@ -46,7 +46,7 @@ class TestCorrelationMatrix:
         rng = np.random.default_rng(1)
         spec = make_shift_spec(18, 3)
         x = rng.normal(size=(40, 18))
-        chans = np.nonzero(group_index(spec) == 8)[0]  # center group, 2 channels
+        chans = np.nonzero(spec.group_ids == 8)[0]  # center group, 2 channels
         x[:, chans[1]] = x[:, chans[0]]
         corr = correlation_matrix(_trace_from(x, spec), 8)
         assert corr[0, 1] == pytest.approx(1.0, abs=1e-12)
@@ -57,7 +57,7 @@ class TestCorrelationMatrix:
         x = rng.normal(size=(60, 27))
         trace = _trace_from(x, spec)
         for g in (0, 4, 8):
-            chans = np.nonzero(group_index(spec) == g)[0]
+            chans = np.nonzero(spec.group_ids == g)[0]
             expected = _correlation_oracle(x[:, chans])
             np.testing.assert_allclose(correlation_matrix(trace, g), expected,
                                        atol=1e-10)
@@ -126,7 +126,7 @@ class TestContributionNorms:
 class TestGroupAggregation:
     def test_partition_covers_all_channels(self):
         spec = make_shift_spec(144, 3)
-        gidx = group_index(spec)
+        gidx = spec.group_ids
         counts = [int(np.sum(gidx == g)) for g in range(9)]
         assert sum(counts) == 144
 
@@ -138,7 +138,7 @@ class TestGroupAggregation:
         assert sums.shape == (9,)
         assert sums.max() == pytest.approx(1.0)
         v = contribution_norms(w)
-        gidx = group_index(spec)
+        gidx = spec.group_ids
         raw = np.array([v[gidx == g].sum() for g in range(9)])
         np.testing.assert_allclose(sums, raw / raw.max(), atol=1e-12)
 

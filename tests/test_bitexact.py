@@ -37,7 +37,7 @@ from shiftnet.blocks import BasicBlock, Composite, CscBlock, CscConfig, SeedStre
 from shiftnet.nets import build_resnet, build_shiftresnet, reduce_resnet
 from shiftnet.ops import BatchNormState, ConvKernel
 from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
-from shiftnet.shift import (ShiftSpec, channel_groups, make_shift_spec,
+from shiftnet.shift import (ShiftSpec, make_shift_spec,
                             shift_backward, shift_forward)
 
 
@@ -100,7 +100,7 @@ def batchnorm_train_oracle(x, state):
 def shift_oracle(x, spec):
     _, _, h, w = x.shape
     out = np.zeros_like(x)
-    for (dy, dx), chans in channel_groups(spec):
+    for (dy, dx), chans in spec.groups:
         r0, r1 = max(0, -dy), min(h, h - dy)
         c0, c1 = max(0, -dx), min(w, w - dx)
         if r0 < r1 and c0 < c1:

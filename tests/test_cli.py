@@ -51,6 +51,37 @@ class TestCount:
         assert code == 1
         assert "target-params" in err
 
+    def test_reduce_rejects_a_net_that_is_not_plain_resnet(self, capsys):
+        code, _, err = run_cli(capsys, "count", "--arch", "shiftresnet20",
+                               "--reduce", "net", "--target-params", "100000")
+        assert code == 1
+        assert "--reduce applies to plain resnet architectures" in err
+
+    @pytest.mark.parametrize("arch,size", [("shift_layer", "0"),
+                                           ("shift_layer", "-3"),
+                                           ("resnet20", "0")])
+    def test_input_below_one_rejected(self, capsys, arch, size):
+        code, out, err = run_cli(capsys, "count", "--arch", arch, "--input", size)
+        assert code == 1
+        assert f"input size must be at least 1, got {size}" in err
+        assert out == ""
+
+    def test_per_layer_prints_each_note_once(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "--arch", "shift_layer",
+                               "--channels", "4", "--per-layer")
+        assert code == 0
+        notes = [line for line in out.splitlines() if line.startswith("note:")]
+        assert notes == ["note: shift: fewer channels than window positions; "
+                         "some shift groups empty"]
+
+    @pytest.mark.parametrize("flag", ["--classes", "--seed"])
+    def test_shift_layer_rejects_weight_flags(self, capsys, flag):
+        code, out, err = run_cli(capsys, "count", "--arch", "shift_layer",
+                                 flag, "5")
+        assert code == 1
+        assert f"{flag} does not apply to shift_layer" in err
+        assert out == ""
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self, capsys):
@@ -89,6 +120,24 @@ class TestArchDump:
         _, reseeded, _ = run_cli(capsys, "arch", "dump", "--arch", str(path),
                                  "--seed", "3")
         assert parse_config(reseeded)["seed"] == 3
+
+    def test_classes_override_a_config_file(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "arch", "dump", "--arch", "shiftresnet20")
+        path = tmp_path / "c10.cfg"
+        path.write_text(out)
+        assert parse_config(out)["num_classes"] == 10
+        code, again, _ = run_cli(capsys, "arch", "dump", "--arch", str(path),
+                                 "--classes", "5")
+        assert code == 0
+        assert parse_config(again)["num_classes"] == 5
+
+    @pytest.mark.parametrize("flag", ["--classes", "--seed"])
+    def test_shift_layer_rejects_weight_flags(self, capsys, flag):
+        code, out, err = run_cli(capsys, "arch", "dump", "--arch", "shift_layer",
+                                 flag, "7")
+        assert code == 1
+        assert f"{flag} does not apply to shift_layer" in err
+        assert out == ""
 
 
 class TestSynthData:

@@ -58,6 +58,12 @@ class TestCifarLoader:
         with pytest.raises(ValueError, match="data_batch_2.bin: size"):
             load_cifar10(d)
 
+    def test_missing_test_batch_rejected(self, tmp_path):
+        d, *_ = _toy_cifar_dir(tmp_path)
+        os.remove(os.path.join(d, "test_batch.bin"))
+        with pytest.raises(FileNotFoundError, match="missing test_batch.bin"):
+            load_cifar10(d)
+
     def test_short_read_rejected(self, tmp_path, monkeypatch):
         # a file that shrinks between sizing and reading comes back short
         d, *_ = _toy_cifar_dir(tmp_path)
@@ -176,6 +182,20 @@ class TestSynthDataset:
     def test_no_classes_rejected(self):
         with pytest.raises(ValueError, match="classes must be at least 1, got 0"):
             synth_dataset(16, 0)
+
+
+class TestDataset:
+    def test_length_mismatch_rejected(self):
+        images = np.zeros((4, 3, 2, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="disagree in length"):
+            Dataset(images, np.zeros(3, dtype=np.int64), "train", 2)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_out_of_range_rejected(self, bad):
+        images = np.zeros((3, 3, 2, 2), dtype=np.float32)
+        labels = np.array([0, 1, bad], dtype=np.int64)
+        with pytest.raises(ValueError, match="labels out of range"):
+            Dataset(images, labels, "train", 2)
 
 
 class TestSchedule:
@@ -487,6 +507,13 @@ class TestCheckpoints:
             entries.append(dict(entries[-1]))
         with pytest.raises(ValueError, match="1 duplicate names"):
             load_checkpoint(self._tamper(tmp_path, duplicate))
+
+    def test_reshaped_entry_rejected(self, tmp_path):
+        def flatten(_, entries):
+            # the same element count, so only the shape check can catch it
+            entries[0]["shape"] = [int(np.prod(entries[0]["shape"]))]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            load_checkpoint(self._tamper(tmp_path, flatten))
 
     def test_failed_manifest_write_keeps_earlier_checkpoint(self, tmp_path, monkeypatch):
         net = _tiny_net(seed=9)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftnet.ops import ConvKernel, conv2d_depthwise
-from shiftnet.shift import (ShiftSpec, fused_shift_pointwise, group_index,
+from shiftnet.shift import (ShiftSpec, fused_shift_pointwise,
                             make_shift_spec, one_hot_depthwise_kernel,
                             shift_backward, shift_forward,
                             unfused_shift_pointwise, window_directions)
@@ -17,12 +17,12 @@ from shiftnet.shift import (ShiftSpec, fused_shift_pointwise, group_index,
 class TestSpecConstruction:
     def test_even_split_144(self):
         spec = make_shift_spec(144, 3)
-        counts = Counter(group_index(spec).tolist())
+        counts = Counter(spec.group_ids.tolist())
         assert counts == {g: 16 for g in range(9)}
 
     def test_remainder_goes_to_center_16(self):
         spec = make_shift_spec(16, 3)
-        counts = Counter(group_index(spec).tolist())
+        counts = Counter(spec.group_ids.tolist())
         assert all(counts[g] == 1 for g in range(8))
         assert counts[8] == 8  # center group: 1 even-split + 7 remainder
 
@@ -65,7 +65,7 @@ class TestSpecConstruction:
         assert len(spec.displacements) == m
         assert all(abs(dy) <= reach and abs(dx) <= reach
                    for dy, dx in spec.displacements)
-        counts = Counter(group_index(spec).tolist())
+        counts = Counter(spec.group_ids.tolist())
         gsize = m // (k * k)
         for g in range(k * k - 1):
             assert counts.get(g, 0) == gsize

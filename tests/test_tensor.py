@@ -83,6 +83,11 @@ class TestBlobFormat:
         with pytest.raises(ValueError, match="header"):
             blob_load(b"\x00" * 10)
 
+    def test_negative_dimension_rejected(self):
+        header = struct.pack("<4q", 1, -2, 1, 1)
+        with pytest.raises(ValueError, match="corrupt blob header"):
+            blob_load(header + b"\0" * 64)
+
     def test_rank5_rejected(self):
         with pytest.raises(ValueError):
             blob_dump(np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
