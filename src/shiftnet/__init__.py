@@ -16,7 +16,7 @@ from .nets import (Network, build_by_name, build_resnet, build_shiftnet,
                    build_shiftresnet, dump_config, parse_config, rebuild,
                    reduce_resnet, scaled_resnet)
 from .ops import BatchNormState, ConvKernel
-from .pipeline import (Dataset, TrainLog, TrainSchedule, evaluate,
+from .pipeline import (Dataset, Trainer, TrainLog, TrainSchedule, evaluate,
                        load_checkpoint, load_cifar10, save_checkpoint,
                        synth_dataset, train)
 from .shift import (ShiftSpec, fused_shift_pointwise, make_shift_spec,

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import CscBlock, run_layers
 from .nets import EVAL_SLICE, Network
-from .pipeline import Dataset
+from .pipeline import Dataset, _require_positive
 from .shift import ShiftSpec
 
 
@@ -65,6 +65,7 @@ def record_activations(net: Network, dataset: Dataset, module_id: str,
     then through the block's children up to and including `relu2`. Nothing
     after it runs, and no attribute of the network or its layers is written.
     """
+    _require_positive("max_images", max_images)
     block = find_csc_block(net, module_id)
     n = min(len(dataset), max_images)
     if n == 0:

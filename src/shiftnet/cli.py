@@ -19,7 +19,13 @@ DATA_ENV = "SHIFTNET_DATA_DIR"
 
 def _resolve_arch(args) -> Network:
     """Build from a known name, or load a plain-text config if --arch is a file."""
-    if os.path.exists(args.arch):
+    is_file = os.path.exists(args.arch)
+    if args.expansion is not None and (
+            is_file or not args.arch.lower().startswith("shiftresnet")):
+        target = "a config file" if is_file else args.arch
+        raise ValueError(f"--expansion does not apply to {target}; "
+                         "only shiftresnet architectures take it")
+    if is_file:
         with open(args.arch) as f:
             cfg = nets.parse_config(f.read())
         if args.classes:
@@ -46,7 +52,8 @@ def _resolve_arch(args) -> Network:
         rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
         return Network("shift_layer", rows, num_classes=0,
                        input_channels=getattr(args, "channels", 16))
-    return nets.build_by_name(args.arch, expansion=args.expansion,
+    expansion = 1.0 if args.expansion is None else args.expansion
+    return nets.build_by_name(args.arch, expansion=expansion,
                               num_classes=args.classes, seed=seed)
 
 
@@ -175,7 +182,8 @@ def _cmd_arch_dump(args) -> int:
 def _add_arch_flags(p):
     p.add_argument("--arch", required=True,
                    help="architecture name or config file path")
-    p.add_argument("--expansion", type=float, default=1.0)
+    p.add_argument("--expansion", type=float,
+                   help="shiftresnet width expansion (default 1)")
     p.add_argument("--classes", type=int)
     p.add_argument("--seed", type=int,
                    help="weight seed (default: a config file's own, else 0)")

@@ -6,10 +6,10 @@ view of it. Per-channel standardization statistics are exact sums over the
 train split only; pixels scale to [0, 1] before standardizing. Deterministic
 synthetic Gaussian-blob images support desk-scale runs without external data.
 
-Training is plain SGD with momentum and L2 weight decay; the learning rate
-decays by a fixed factor at the scheduled iteration marks. Runs are
-deterministic under a fixed seed (single-threaded execution assumed for
-bitwise reproducibility).
+Training is plain SGD with momentum and L2 weight decay, the learning rate
+decaying by a fixed factor at the scheduled marks. A `Trainer` owns the
+step's state and `train` is a loop over its `step`. Runs are deterministic
+under a fixed seed (single-threaded execution assumed for bit-exactness).
 
 Checkpoints are a JSON manifest (network name, architecture rows, iteration,
 schedule, named array entries) plus one blob file holding every parameter
@@ -238,6 +238,8 @@ class TrainSchedule:
         pts = tuple(self.lr_decay_points)
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("decay points must be strictly increasing")
+        if pts and pts[0] < 1:
+            raise ValueError(f"decay point {pts[0]} is below iteration 1")
         # points at/after the horizon never fire; drop them
         self.lr_decay_points = tuple(p for p in pts if p < self.max_iters)
 
@@ -253,9 +255,6 @@ class TrainLog:
     """Per-iteration training records: (iteration, lr, loss, accuracy)."""
 
     records: list = field(default_factory=list)
-
-    def add(self, iteration, lr, loss, acc):
-        self.records.append((iteration, lr, loss, acc))
 
     def losses(self):
         return np.array([r[2] for r in self.records])
@@ -303,43 +302,69 @@ def _diagnose_nonfinite(net: Network, x: np.ndarray) -> str:
             a[...] = old
 
 
+class Trainer:
+    """SGD one step at a time; deterministic under (schedule.seed, single thread).
+
+    State: `rng` (batches, augmentation), `velocity` (momentum buffers by
+    parameter name), `iteration` (completed updates). Every step looks up
+    `dataset.batch`, `net.forward` and `net.backward` anew."""
+
+    def __init__(self, net: Network, dataset: Dataset, schedule: TrainSchedule):
+        if len(dataset) == 0:
+            raise ValueError("empty dataset")
+        self.net, self.dataset, self.schedule = net, dataset, schedule
+        self.rng = np.random.default_rng(schedule.seed)
+        self.velocity = {name: np.zeros_like(p.value) for name, p in net.named_params()}
+        self.iteration = 0
+        # A generator keeps a step's arrays until the next step rebinds them, as
+        # a plain loop does; freed at return, glibc trims the heap every step.
+        self._steps = self._loop()
+
+    def step(self) -> tuple:
+        """One update; returns its (iteration, lr, loss, acc) row.
+
+        A non-finite loss raises TrainingDiverged naming the first non-finite
+        tensor, leaving no step in flight and the last good step's iteration,
+        velocity and parameters; the trainer is then spent (StopIteration)."""
+        return next(self._steps)
+
+    def _loop(self):
+        while True:
+            net, schedule, it = self.net, self.schedule, self.iteration + 1
+            idx = self.rng.integers(0, len(self.dataset), size=schedule.batch_size)
+            x, y = self.dataset.batch(idx)
+            if schedule.augment:
+                x = _augment_batch(x, self.rng)
+            logits = net.forward(x, "train")
+            loss, probs = ops.softmax_xent(logits, y)
+            if not np.isfinite(loss):
+                culprit = _diagnose_nonfinite(net, x)
+                net.discard_step()
+                raise TrainingDiverged(
+                    f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")
+            acc = float(np.mean(np.argmax(logits, axis=1) == y))
+            net.zero_grads()
+            net.backward(ops.softmax_xent_backward(probs, y))
+            lr = lr_at(schedule, it)
+            for name, p in net.named_params():
+                v = self.velocity[name]
+                v *= schedule.momentum
+                v += p.grad + schedule.weight_decay * p.value
+                p.value -= (lr * v).astype(p.value.dtype, copy=False)
+            self.iteration = it
+            yield it, lr, loss, acc
+
+
 def train(net: Network, dataset: Dataset, schedule: TrainSchedule,
           out_checkpoint: str | None = None) -> TrainLog:
-    """SGD training loop; deterministic under (schedule.seed, single thread).
-
-    Raises TrainingDiverged with the first non-finite tensor's name if the
-    loss leaves the reals, with no step left in flight: no layer keeps a
-    cache and `net.backward` raises. Writes a final checkpoint when a path
-    is given.
-    """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    rng = np.random.default_rng(schedule.seed)
-    velocity = {name: np.zeros_like(p.value) for name, p in net.named_params()}
+    """`schedule.max_iters` `Trainer` steps, logging every `log_every`-th row
+    and the last; writes a final checkpoint when a path is given."""
+    trainer = Trainer(net, dataset, schedule)
     log = TrainLog()
-    for it in range(1, schedule.max_iters + 1):
-        idx = rng.integers(0, len(dataset), size=schedule.batch_size)
-        x, y = dataset.batch(idx)
-        if schedule.augment:
-            x = _augment_batch(x, rng)
-        logits = net.forward(x, "train")
-        loss, probs = ops.softmax_xent(logits, y)
-        if not np.isfinite(loss):
-            culprit = _diagnose_nonfinite(net, x)
-            net.discard_step()
-            raise TrainingDiverged(
-                f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")
-        acc = float(np.mean(np.argmax(logits, axis=1) == y))
-        net.zero_grads()
-        net.backward(ops.softmax_xent_backward(probs, y))
-        lr = lr_at(schedule, it)
-        for name, p in net.named_params():
-            v = velocity[name]
-            v *= schedule.momentum
-            v += p.grad + schedule.weight_decay * p.value
-            p.value -= (lr * v).astype(p.value.dtype, copy=False)
-        if it % schedule.log_every == 0 or it == schedule.max_iters:
-            log.add(it, lr, loss, acc)
+    for _ in range(schedule.max_iters):
+        row = trainer.step()
+        if row[0] % schedule.log_every == 0 or row[0] == schedule.max_iters:
+            log.records.append(row)
     if out_checkpoint:
         save_checkpoint(net, out_checkpoint, iteration=schedule.max_iters,
                         schedule=schedule)

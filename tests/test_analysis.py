@@ -196,6 +196,13 @@ class TestRecording:
         for module in ("group1.block0", "group2.block0", "group3.block2"):
             record_activations(net, ds, module)
 
+    @pytest.mark.parametrize("max_images", [0, -4])
+    def test_max_images_below_one_rejected(self, trained, max_images):
+        net, ds = trained
+        with pytest.raises(ValueError,
+                           match=f"max_images must be at least 1, got {max_images}"):
+            record_activations(net, ds, "group1.block0", max_images=max_images)
+
     def test_unknown_module(self, trained):
         net, ds = trained
         with pytest.raises(KeyError):

@@ -74,12 +74,22 @@ class TestCount:
         assert notes == ["note: shift: fewer channels than window positions; "
                          "some shift groups empty"]
 
-    @pytest.mark.parametrize("flag", ["--classes", "--seed"])
+    @pytest.mark.parametrize("flag", ["--classes", "--seed", "--expansion"])
     def test_shift_layer_rejects_weight_flags(self, capsys, flag):
         code, out, err = run_cli(capsys, "count", "--arch", "shift_layer",
                                  flag, "5")
         assert code == 1
         assert f"{flag} does not apply to shift_layer" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--arch", "resnet20"),
+        ("--arch", "shiftnetc"),
+        ("--arch", "resnet20", "--reduce", "net", "--target-params", "100000")])
+    def test_expansion_applies_to_shiftresnet_only(self, capsys, argv):
+        code, out, err = run_cli(capsys, "count", *argv, "--expansion", "3")
+        assert code == 1
+        assert f"--expansion does not apply to {argv[1]}" in err
         assert out == ""
 
 
@@ -131,7 +141,18 @@ class TestArchDump:
         assert code == 0
         assert parse_config(again)["num_classes"] == 5
 
-    @pytest.mark.parametrize("flag", ["--classes", "--seed"])
+    @pytest.mark.parametrize("cmd", [("count",), ("arch", "dump")])
+    def test_config_file_rejects_expansion(self, capsys, tmp_path, cmd):
+        _, out, _ = run_cli(capsys, "arch", "dump", "--arch", "shiftresnet20")
+        path = tmp_path / "s.cfg"
+        path.write_text(out)
+        code, out, err = run_cli(capsys, *cmd, "--arch", str(path),
+                                 "--expansion", "3")
+        assert code == 1
+        assert "--expansion does not apply to a config file" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--classes", "--seed", "--expansion"])
     def test_shift_layer_rejects_weight_flags(self, capsys, flag):
         code, out, err = run_cli(capsys, "arch", "dump", "--arch", "shift_layer",
                                  flag, "7")

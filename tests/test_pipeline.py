@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shiftnet import pipeline
+from shiftnet import ops, pipeline
 from shiftnet.blocks import Composite
 from shiftnet.nets import EVAL_SLICE, Network, build_shiftresnet
-from shiftnet.pipeline import (Dataset, TrainingDiverged, TrainLog,
-                               TrainSchedule, _diagnose_nonfinite, evaluate,
-                               load_checkpoint, load_cifar10, lr_at,
-                               save_checkpoint, synth_dataset, train,
-                               write_cifar10_batches)
+from shiftnet.pipeline import (Dataset, Trainer, TrainingDiverged, TrainLog,
+                               TrainSchedule, _augment_batch,
+                               _diagnose_nonfinite, evaluate, load_checkpoint,
+                               load_cifar10, lr_at, save_checkpoint,
+                               synth_dataset, train, write_cifar10_batches)
 
 CIFAR_RECORD = 1 + 3 * 32 * 32
 
@@ -215,6 +215,12 @@ class TestSchedule:
         s = TrainSchedule(max_iters=100, lr_decay_points=(200, 300))
         assert s.lr_decay_points == ()
 
+    @pytest.mark.parametrize("points", [(0,), (-3, 1)])
+    def test_decay_points_below_one_rejected(self, points):
+        TrainSchedule(max_iters=10, lr_decay_points=(1,))
+        with pytest.raises(ValueError, match=f"decay point {points[0]} is below iteration 1"):
+            TrainSchedule(max_iters=10, lr_decay_points=points)
+
     @pytest.mark.parametrize("field", ["max_iters", "batch_size", "log_every"])
     def test_sizes_below_one_rejected(self, field):
         TrainSchedule(**{"max_iters": 5, field: 1})
@@ -223,8 +229,7 @@ class TestSchedule:
                 TrainSchedule(**{"max_iters": 5, field: value})
 
     def test_log_csv(self):
-        log = TrainLog()
-        log.add(1, 0.1, 2.5, 0.1)
+        log = TrainLog([(1, 0.1, 2.5, 0.1)])
         lines = log.to_csv().strip().splitlines()
         assert lines[0] == "iter,lr,loss,acc"
         assert lines[1].startswith("1,0.1,")
@@ -329,6 +334,107 @@ class TestTraining:
             log = train(net, ds, _tiny_sched(2, augment=True))
             outs.append(log.records)
         assert outs[0] == outs[1]
+
+
+def _reference_train(net, dataset, schedule):
+    """The SGD loop `train` ran before `Trainer` owned the step, kept as its oracle.
+
+    Returns the logged (iteration, lr, loss, acc) rows; no checkpoint.
+    """
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    rng = np.random.default_rng(schedule.seed)
+    velocity = {name: np.zeros_like(p.value) for name, p in net.named_params()}
+    records = []
+    for it in range(1, schedule.max_iters + 1):
+        idx = rng.integers(0, len(dataset), size=schedule.batch_size)
+        x, y = dataset.batch(idx)
+        if schedule.augment:
+            x = _augment_batch(x, rng)
+        logits = net.forward(x, "train")
+        loss, probs = ops.softmax_xent(logits, y)
+        if not np.isfinite(loss):
+            culprit = _diagnose_nonfinite(net, x)
+            net.discard_step()
+            raise TrainingDiverged(
+                f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")
+        acc = float(np.mean(np.argmax(logits, axis=1) == y))
+        net.zero_grads()
+        net.backward(ops.softmax_xent_backward(probs, y))
+        lr = lr_at(schedule, it)
+        for name, p in net.named_params():
+            v = velocity[name]
+            v *= schedule.momentum
+            v += p.grad + schedule.weight_decay * p.value
+            p.value -= (lr * v).astype(p.value.dtype, copy=False)
+        if it % schedule.log_every == 0 or it == schedule.max_iters:
+            records.append((it, lr, loss, acc))
+    return records
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTrainer:
+    @pytest.mark.parametrize("log_every", [1, 3])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_steps_match_the_reference_loop(self, augment, log_every):
+        ds = synth_dataset(16, 4, seed=5)
+        sched = _tiny_sched(5, augment=augment, log_every=log_every,
+                            lr_decay_points=(3,))
+        ref = _tiny_net(seed=3)
+        want = _reference_train(ref, ds, sched)
+        net = _tiny_net(seed=3)
+        trainer = Trainer(net, ds, sched)
+        rows = [trainer.step() for _ in range(sched.max_iters)]
+        assert [r[0] for r in rows] == list(range(1, 6))
+        assert trainer.iteration == 5
+        logged = [r for r in rows if r[0] % log_every == 0 or r[0] == 5]
+        assert [tuple(map(repr, r)) for r in logged] == \
+            [tuple(map(repr, r)) for r in want]
+        for (name, a), (_, b) in zip(net.named_state(), ref.named_state()):
+            assert _same_bits(a, b), name
+        looped = _tiny_net(seed=3)
+        assert train(looped, ds, sched).records == want
+        for (name, a), (_, b) in zip(looped.named_state(), ref.named_state()):
+            assert _same_bits(a, b), name
+
+    def test_diverged_step_keeps_the_last_good_state(self):
+        net = _tiny_net(seed=1)
+        ds = synth_dataset(16, 4, seed=1)
+        trainer = Trainer(net, ds, _tiny_sched(4))
+        trainer.step()
+        trainer.step()
+        velocity = {k: v.copy() for k, v in trainer.velocity.items()}
+        params = [p.value.copy() for _, p in net.named_params()]
+        trainer.dataset = Dataset(np.full_like(ds.images, np.inf), ds.labels,
+                                  "train", ds.num_classes)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                TrainingDiverged, match="iteration 3; first non-finite tensor: input batch"):
+            trainer.step()
+        assert trainer.iteration == 2
+        assert velocity.keys() == trainer.velocity.keys()
+        for name, v in trainer.velocity.items():
+            assert _same_bits(v, velocity[name]), name
+        for (name, p), old in zip(net.named_params(), params):
+            assert _same_bits(p.value, old), name
+        with pytest.raises(StopIteration):
+            trainer.step()
+
+    def test_step_looks_up_batch_forward_backward_per_call(self):
+        net = _tiny_net()
+        ds = synth_dataset(16, 4, seed=0)
+        trainer = Trainer(net, ds, _tiny_sched(2))
+        trainer.step()
+        calls = []
+        for obj, attr in ((ds, "batch"), (net, "forward"), (net, "backward")):
+            def spy(*args, _fn=getattr(obj, attr), _attr=attr):
+                calls.append(_attr)
+                return _fn(*args)
+            setattr(obj, attr, spy)
+        trainer.step()
+        assert calls == ["batch", "forward", "backward"]
 
 
 class _StubNet:
