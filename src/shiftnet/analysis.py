@@ -13,7 +13,9 @@ spec; nothing here regroups channels.
 
 Activations are recorded post-shift, immediately before the second pointwise
 convolution consumes them: at the output of the block's `relu2`, which runs
-after the shift, so the values are shifted and rectified. The capture reaches
+after the shift, so the values are shifted and rectified. A strided block's
+shift carries the stride, so its capture holds only the ho x wo positions
+`pw2` reads, not the full input plane. The capture reaches
 the network only through its layer walk: an eval forward of the layers up to
 that point, which wraps no method and writes no attribute. Outputs are plain
 CSV so heatmaps can be replotted with any external tool.

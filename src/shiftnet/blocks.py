@@ -59,7 +59,8 @@ import numpy as np
 from . import ops
 from .accounting import LayerCost
 from .ops import BatchNormState, ConvKernel
-from .shift import ShiftSpec, make_shift_spec, shift_backward, shift_forward
+from .shift import (ShiftSpec, make_shift_spec, shift_backward, shift_forward,
+                    zero_vacated)
 from .tensor import REAL, he_normal
 
 
@@ -220,26 +221,28 @@ class Conv(Layer):
 
 
 class Shift(Layer):
-    """Parameter-free channel-wise translation layer."""
+    """Parameter-free channel-wise translation; a train forward saves the input plane."""
 
     kind = "shift"
 
-    def __init__(self, spec: ShiftSpec):
+    def __init__(self, spec: ShiftSpec, stride: int = 1):
         self.spec = spec
+        self.stride = stride
 
     def run(self, x, mode):
-        return shift_forward(x, self.spec), None
+        return shift_forward(x, self.spec, self.stride), x.shape[2:]
 
-    def grad(self, dout, saved):
-        return shift_backward(dout, self.spec)
+    def grad(self, dout, plane):
+        return shift_backward(dout, self.spec, self.stride, plane)
 
     def cost_entries(self, name, in_shape):
-        c, h, w = in_shape
+        c, h, w = in_shape      # the entry is sized at the input plane
         note = ""
         if c < self.spec.kernel_size ** 2:
             note = "fewer channels than window positions; some shift groups empty"
         entry = LayerCost(name, "shift", c, c, h, self.spec.kernel_size, note)
-        return [entry], in_shape
+        ho, wo = (ops.out_size(d, 1, self.stride, 0) for d in (h, w))
+        return [entry], (c, ho, wo)
 
 
 class BatchNorm(Layer):
@@ -356,9 +359,10 @@ class Residual(Composite):
     shortcut: int | None = None
     concat = False
     _saved = None
+    _main = Composite.forward        # the main path's forward
 
     def forward(self, x, mode):
-        main = super().forward(x, mode)
+        main = self._main(x, mode)
         if self.shortcut is None:
             return main
         if mode == "train":
@@ -449,11 +453,11 @@ class CscConfig:
 
 
 class CscBlock(Residual):
-    """Conv-shift-conv module: BN-ReLU-1x1, BN-shift-ReLU-1x1(stride), + shortcut.
+    """Conv-shift-conv module: BN-ReLU-1x1, BN-shift(stride)-ReLU-1x1, + shortcut.
 
-    Both 1x1 convolutions are preceded by batch norm and ReLU; the second one
-    carries the block's stride so spatial information is mixed by the shift
-    before downsampling. The residual taps the raw input.
+    Both 1x1 convolutions are preceded by batch norm and ReLU. The shift
+    carries the block's stride and writes only the positions the second 1x1
+    reads, after mixing them spatially. The residual taps the raw input.
 
     The second ReLU runs after the shift, not before it. That is exact: the
     shift only moves values and fills vacated positions with +0, and
@@ -462,10 +466,17 @@ class CscBlock(Residual):
     BN output value, and positions the shift pushed off the plane get a zero
     gradient either way. In this order `relu2` overwrites the shift's fresh
     output, so it and `pw2` cache the same array and batch norm's output is
-    freed as soon as the shift has read it. The "sc2" variant
-    shifts once more at the very start (child `shift0`), widening the
-    receptive field. Training runs shift and pw2 unfused on purpose: the fused
-    kernel measured slower (see `shift.fused_shift_pointwise`).
+    freed as soon as the shift has read it.
+
+    In eval, a block whose shift strides swaps `bn2` with the shift that
+    follows it in `child_names`, so `bn2` normalizes only the positions `pw2`
+    reads, and resets the vacated positions to +0: eval batch norm is a
+    per-channel affine map, so it commutes with the shift except there, where
+    the declared order holds +0. Train (`bn2`'s batch statistics span the
+    plane) and stride-1 blocks walk `child_names` as declared.
+    The "sc2" variant shifts once more at the very start (child `shift0`).
+    Training runs shift and pw2 unfused on purpose: the fused kernel measured
+    slower (see `shift.fused_shift_pointwise`).
     """
 
     def __init__(self, cfg: CscConfig, seeds: SeedStream, dtype=REAL):
@@ -482,13 +493,22 @@ class CscBlock(Residual):
         self.relu1 = ReLU()
         self.pw1 = Conv(cfg.in_channels, mid, 1, 1, seeds.next(), dtype)
         self.bn2 = BatchNorm(mid, dtype)
-        self.shift = Shift(self.spec)
+        self.shift = Shift(self.spec, cfg.stride)
         self.relu2 = ReLU()
-        self.pw2 = Conv(mid, cfg.main_out_channels, 1, cfg.stride,
-                        seeds.next(), dtype)
+        self.pw2 = Conv(mid, cfg.main_out_channels, 1, 1, seeds.next(), dtype)
         self.concat = cfg.main_out_channels != cfg.out_channels
         if cfg.has_shortcut:
             self.shortcut = cfg.in_channels if self.concat else cfg.out_channels
+
+    def _main(self, x, mode):
+        i = self.child_names.index("shift")
+        if mode != "eval" or self.shift.stride == 1 or self.child_names[i - 1] != "bn2":
+            return Composite.forward(self, x, mode)
+        y = run_layers(self.children()[:i - 1], x, mode)
+        plane = y.shape[2:]
+        y = self.bn2.forward(self.shift.forward(y, mode), mode)
+        zero_vacated(y, self.spec, plane, self.shift.stride)
+        return run_layers(self.children()[i + 1:], y, mode)
 
 
 class BasicBlock(Residual):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -318,14 +319,16 @@ class Trainer:
         self.iteration = 0
         # A generator keeps a step's arrays until the next step rebinds them, as
         # a plain loop does; freed at return, glibc trims the heap every step.
-        self._steps = self._loop()
+        # It holds the trainer weakly: no reference cycle keeps a spent trainer.
+        self._steps = Trainer._loop(weakref.proxy(self))
 
     def step(self) -> tuple:
         """One update; returns its (iteration, lr, loss, acc) row.
 
         A non-finite loss raises TrainingDiverged naming the first non-finite
         tensor, leaving no step in flight and the last good step's iteration,
-        velocity and parameters; the trainer is then spent (StopIteration)."""
+        velocity, parameters and batch-norm running statistics; the trainer
+        is then spent (StopIteration)."""
         return next(self._steps)
 
     def _loop(self):
@@ -335,10 +338,16 @@ class Trainer:
             x, y = self.dataset.batch(idx)
             if schedule.augment:
                 x = _augment_batch(x, self.rng)
+            # the train forward moves the running stats before the loss is checked
+            running = [a for n, a in net.named_state()
+                       if n.endswith(("running_mean", "running_var"))]
+            kept = [a.copy() for a in running]
             logits = net.forward(x, "train")
             loss, probs = ops.softmax_xent(logits, y)
             if not np.isfinite(loss):
                 culprit = _diagnose_nonfinite(net, x)
+                for a, old in zip(running, kept):
+                    a[...] = old
                 net.discard_step()
                 raise TrainingDiverged(
                     f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")

@@ -19,7 +19,6 @@ assignment (selectable via permutation_id) is as good as any other.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,39 +114,79 @@ def make_shift_spec(channels: int, kernel_size: int = 3, dilation: int = 1,
     return ShiftSpec(channels, kernel_size, dilation, permutation_id, tuple(disp))
 
 
-def _move(x: np.ndarray, spec: ShiftSpec, sign: int, what: str) -> np.ndarray:
-    """Translate each channel by sign * its displacement; vacated positions read zero."""
+def _spans(spec: ShiftSpec, plane: tuple[int, int], stride: int):
+    """Per group: its channels, the output rows [k0, k1) and columns [l0, l1)
+    whose source s*k + dy, s*l + dx lies on the plane, and those sources as
+    slices, or None if the group has none."""
+    (h, w), s = plane, stride
+    ho, wo = out_size(h, 1, s, 0), out_size(w, 1, s, 0)
+    for (dy, dx), chans in spec.groups:
+        k0, k1 = max(0, -(dy // s)), min(ho, (h - 1 - dy) // s + 1)
+        l0, l1 = max(0, -(dx // s)), min(wo, (w - 1 - dx) // s + 1)
+        src = None
+        if k0 < k1 and l0 < l1:
+            src = (slice(s * k0 + dy, s * (k1 - 1) + dy + 1, s),
+                   slice(s * l0 + dx, s * (l1 - 1) + dx + 1, s))
+        yield chans, (k0, k1), (l0, l1), src
+
+
+def _vacate(out, chans, rows, cols):
+    """Zero the positions of a group's output outside its source spans."""
+    (k0, k1), (l0, l1) = rows, cols
+    if k0 >= k1 or l0 >= l1:
+        out[:, chans] = 0
+        return
+    out[:, chans, :k0] = out[:, chans, k1:] = 0
+    out[:, chans, :, :l0] = out[:, chans, :, l1:] = 0
+
+
+def zero_vacated(out: np.ndarray, spec: ShiftSpec, plane: tuple[int, int],
+                 stride: int = 1):
+    """Set to +0, in place, where shift_forward of an input `plane` writes zeros."""
+    for chans, rows, cols, _ in _spans(spec, plane, stride):
+        _vacate(out, chans, rows, cols)
+
+
+def _check(x: np.ndarray, spec: ShiftSpec, what: str):
     if x.shape[1] != spec.channels:
         raise ValueError(f"channel mismatch: {what} has {x.shape[1]}, "
                          f"spec expects {spec.channels}")
-    _, _, h, w = x.shape
-    out = np.empty_like(x)
-    for (dy, dx), chans in spec.groups:
-        dy, dx = sign * dy, sign * dx
-        r0, r1 = max(0, -dy), min(h, h - dy)
-        c0, c1 = max(0, -dx), min(w, w - dx)
-        if r0 >= r1 or c0 >= c1:
-            out[:, chans] = 0
-            continue
-        out[:, chans, r0:r1, c0:c1] = x[:, chans, r0 + dy:r1 + dy, c0 + dx:c1 + dx]
+
+
+def shift_forward(x: np.ndarray, spec: ShiftSpec, stride: int = 1) -> np.ndarray:
+    """Translate each channel by its displacement; vacated positions read zero.
+
+    out[b, m, k, l] = x[b, m, s*k + dy_m, s*l + dx_m]: at stride s only the
+    positions a stride-s 1x1 reads. Strided copies within each channel plane.
+    """
+    _check(x, spec, "input")
+    b, c, h, w = x.shape
+    out = np.empty((b, c, out_size(h, 1, stride, 0), out_size(w, 1, stride, 0)),
+                   dtype=x.dtype)
+    for chans, (k0, k1), (l0, l1), src in _spans(spec, (h, w), stride):
+        if src:
+            out[:, chans, k0:k1, l0:l1] = x[:, chans, src[0], src[1]]
         # zero only the strips the translation vacated
-        out[:, chans, :r0] = out[:, chans, r1:] = 0
-        out[:, chans, :, :c0] = out[:, chans, :, c1:] = 0
+        _vacate(out, chans, (k0, k1), (l0, l1))
     return out
 
 
-def shift_forward(x: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Translate each channel by its displacement; vacated positions read zero.
-
-    out[b, m, k, l] = x[b, m, k + dy_m, l + dx_m], with out-of-range reads as 0.
-    Performs no arithmetic, only strided copies within each channel plane.
-    """
-    return _move(x, spec, 1, "input")
-
-
-def shift_backward(dout: np.ndarray, spec: ShiftSpec) -> np.ndarray:
-    """Adjoint of shift_forward: the same movement with every displacement negated."""
-    return _move(dout, spec, -1, "gradient")
+def shift_backward(dout: np.ndarray, spec: ShiftSpec, stride: int = 1,
+                   plane: tuple[int, int] | None = None) -> np.ndarray:
+    """Adjoint of shift_forward: a scatter into zeros of the input's `plane`
+    (h, w). At stride 1 the plane defaults to dout's; at stride s > 1 dout's
+    shape leaves it ambiguous (sides 2n - 1 and 2n both halve to n)."""
+    _check(dout, spec, "gradient")
+    if plane is None and stride == 1:
+        plane = dout.shape[2:]
+    if plane is None or tuple(out_size(n, 1, stride, 0) for n in plane) != dout.shape[2:]:
+        raise ValueError(f"a stride-{stride} shift's adjoint needs the input plane "
+                         f"of its {dout.shape[2]}x{dout.shape[3]} output, got {plane}")
+    grad = np.zeros(dout.shape[:2] + tuple(plane), dtype=dout.dtype)
+    for chans, (k0, k1), (l0, l1), src in _spans(spec, plane, stride):
+        if src:
+            grad[:, chans, src[0], src[1]] = dout[:, chans, k0:k1, l0:l1]
+    return grad
 
 
 def one_hot_depthwise_kernel(spec: ShiftSpec, dtype=np.float32) -> ConvKernel:
@@ -170,8 +209,8 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
     For each shift group the 1x1 kernel rows are applied directly to the
     group's channels read at their displaced (and output-strided) source
     coordinates, accumulating into the output. Numerically equal to
-    conv2d_pointwise(shift_forward(x, spec), kernel) up to float
-    accumulation order.
+    unfused_shift_pointwise (the strided shift, then a stride-1 1x1) up to
+    float accumulation order.
 
     Measured slower than that two-step form, so it is kept only as criterion
     7's oracle and the benchmark's comparison: over the blocks of one
@@ -179,9 +218,7 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
     x86) it took 67.6 ms against 8.95 ms. Its per-group matmuls have K = m/9
     and run far below one matmul's rate, and the shift copy it avoids is cheap.
     """
-    if x.shape[1] != spec.channels:
-        raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
-                         f"spec expects {spec.channels}")
+    _check(x, spec, "input")
     w = kernel.weights
     if w.shape[0] != spec.channels:
         raise ValueError(f"channel mismatch: kernel expects {w.shape[0]}, "
@@ -190,22 +227,14 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
     b, _, h, wd = x.shape
     ho, wo = out_size(h, 1, s, 0), out_size(wd, 1, s, 0)
     out = np.zeros((b, w.shape[1], ho, wo), dtype=x.dtype)
-    for (dy, dx), chans in spec.groups:
-        # output rows k with 0 <= s*k + dy < h
-        k0 = max(0, math.ceil(-dy / s))
-        k1 = min(ho, (h - 1 - dy) // s + 1)
-        l0 = max(0, math.ceil(-dx / s))
-        l1 = min(wo, (wd - 1 - dx) // s + 1)
-        if k0 >= k1 or l0 >= l1:
-            continue
-        src = x[:, chans,
-                s * k0 + dy:s * (k1 - 1) + dy + 1:s,
-                s * l0 + dx:s * (l1 - 1) + dx + 1:s]
-        part = np.tensordot(src, w[chans], axes=([1], [0]))  # (b, ho', wo', n)
-        out[:, :, k0:k1, l0:l1] += part.transpose(0, 3, 1, 2)
+    for chans, (k0, k1), (l0, l1), src in _spans(spec, (h, wd), s):
+        if src:
+            part = np.tensordot(x[:, chans, src[0], src[1]], w[chans],
+                                axes=([1], [0]))              # (b, ho', wo', n)
+            out[:, :, k0:k1, l0:l1] += part.transpose(0, 3, 1, 2)
     return out
 
 
 def unfused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) -> np.ndarray:
-    """Two-step reference: materialize the shifted tensor, then 1x1 convolve."""
-    return conv2d_pointwise(shift_forward(x, spec), kernel)
+    """What a CscBlock runs: the shift at the kernel's stride, then a stride-1 1x1."""
+    return conv2d_pointwise(shift_forward(x, spec, kernel.stride), ConvKernel(kernel.weights))

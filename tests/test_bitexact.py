@@ -7,8 +7,8 @@ depend on it (criterion 8a's loss ratio moves with the summation order of
 the train path). So every comparison here is `array_equal`, never a
 tolerance. The convolution cases use the layer shapes the builders train.
 
-A shift's backward moves each group by its negated displacement; the oracle
-is the backward it replaced, a forward over a second, negated spec.
+A shift's backward scatters each group back to its source positions; the
+oracle is the backward it replaced, a forward over a second, negated spec.
 
 The CIFAR reader reads each file into the split's one array and the writer
 works a chunk of records at a time; the oracles read whole files and
@@ -21,6 +21,11 @@ arrays they own, but no block and no network writes to its `x` or `dout`.
 
 A conv-shift-conv block runs its second ReLU after the shift; the oracle is
 the same block with the ReLU before the shift, the order it replaced.
+
+A conv-shift-conv block whose shift strides runs `bn2` after the shift in
+eval; the oracle is the declared child walk plus shortcut, on every block of
+the compat builders and on single strided blocks, with batch norms that send
+0 elsewhere, so the vacated positions must be reset.
 
 Both residual blocks share one `blocks.Residual` pass; the oracles are the
 blocks' earlier hand-written passes, one per block class, run over the same
@@ -39,6 +44,7 @@ from shiftnet.ops import BatchNormState, ConvKernel
 from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
 from shiftnet.shift import (ShiftSpec, make_shift_spec,
                             shift_backward, shift_forward)
+from test_compat import BUILDERS
 
 
 def avgpool_oracle(x):
@@ -434,6 +440,59 @@ class TestResidualPass:
         assert np.signbit(Composite.forward(block, x, "eval")).all()
         y = block.forward(x, "eval")
         assert not np.signbit(y[:, 4:]).any()
+
+
+def _random_bn(net_or_block, rng):
+    """Batch norms whose eval map sends 0 to a nonzero value in most channels."""
+    for name, a in net_or_block.state_arrays():
+        if name.endswith("running_var"):
+            a[...] = rng.uniform(0.5, 2.0, size=a.shape)
+        elif name.endswith(("gamma", "beta", "running_mean")):
+            a[...] = rng.normal(size=a.shape)
+
+
+# single stride-2 blocks: sides 8 and 18 with a shortcut (the pool needs an
+# even side), 9 and 17 for the main path alone
+STRIDED_EVAL_CASES = {
+    "k5_d2_add": (CscConfig(16, 32, 2.0, kernel_size=5, dilation=2, stride=2), (8, 18)),
+    "k5_d2_concat": (CscConfig(16, 32, 4.0, kernel_size=5, dilation=2, stride=2,
+                               downsample="concat"), (8, 18)),
+    "k5_d2_sc2": (CscConfig(16, 32, 2.0, kernel_size=5, dilation=2, stride=2,
+                            variant="sc2"), (8, 18)),
+    "k5_d2_main_only": (CscConfig(32, 32, 2.0, kernel_size=5, dilation=2, stride=2),
+                        (9, 17)),
+    "k3_main_only": (CscConfig(12, 12, 1.5, stride=2), (9, 17)),
+}
+
+
+class TestStridedEvalOrder:
+    """A strided block's eval forward runs `bn2` after the shift; it must
+    equal the declared child walk plus shortcut bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_every_block_of_the_builders(self, name):
+        net = BUILDERS[name]()
+        rng = np.random.default_rng(12)
+        _random_bn(net, rng)
+        for batch in (1, 16, 17):
+            h = _f32(rng, batch, 3, 32, 32)
+            for lname, layer in net.layers:
+                if isinstance(layer, CscBlock):
+                    want = csc_forward_oracle(layer, h, "eval")
+                    assert _bits(layer.forward(h, "eval")) == _bits(want), (lname, batch)
+                h = layer.forward(h, "eval")
+
+    @pytest.mark.parametrize("name", STRIDED_EVAL_CASES)
+    def test_single_strided_block(self, name):
+        cfg, sides = STRIDED_EVAL_CASES[name]
+        block = CscBlock(cfg, SeedStream(4))
+        rng = np.random.default_rng(13)
+        _random_bn(block, rng)
+        for side in sides:
+            for batch in (1, 16, 17):
+                x = _f32(rng, batch, cfg.in_channels, side, side)
+                want = csc_forward_oracle(block, x, "eval")
+                assert _bits(block.forward(x, "eval")) == _bits(want), (side, batch)
 
 
 class TestNoWritesToInputs:

@@ -278,6 +278,7 @@ class TestBlockGradients:
         ("csc_s2_concat", CscConfig(4, 8, 2.0, stride=2, downsample="concat"),
          (2, 4, 6, 6)),
         ("csc_s2_main_only", CscConfig(4, 4, 2.0, stride=2), (2, 4, 6, 6)),
+        ("csc_s2_main_only_7x7", CscConfig(4, 4, 2.0, stride=2), (2, 4, 7, 7)),
         ("sc2_s1", CscConfig(4, 4, 2.0, variant="sc2"), (2, 4, 6, 6)),
         ("csc_dilated", CscConfig(5, 5, 3.0, dilation=2), (2, 5, 8, 8)),
     ]

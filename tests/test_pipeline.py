@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -421,6 +423,37 @@ class TestTrainer:
             assert _same_bits(p.value, old), name
         with pytest.raises(StopIteration):
             trainer.step()
+
+    def test_diverged_step_keeps_the_running_statistics(self):
+        net = _tiny_net(seed=1)
+        ds = synth_dataset(16, 4, seed=1)
+        trainer = Trainer(net, ds, _tiny_sched(4))
+        trainer.step()
+        running = [(n, a.copy()) for n, a in net.named_state()
+                   if n.endswith(("running_mean", "running_var"))]
+        assert len(running) == 38
+        trainer.dataset = Dataset(np.full_like(ds.images, np.inf), ds.labels,
+                                  "train", ds.num_classes)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDiverged):
+            trainer.step()
+        state = dict(net.named_state())
+        for name, old in running:
+            assert _same_bits(state[name], old), name
+        _, loss = evaluate(net, ds)
+        assert np.isfinite(loss)
+
+    def test_finished_trainer_is_freed_without_the_cycle_collector(self):
+        ds = synth_dataset(16, 4, seed=2)
+        trainer = Trainer(_tiny_net(seed=2), ds, _tiny_sched(2))
+        gc.disable()
+        try:
+            trainer.step()
+            trainer.step()
+            ref = weakref.ref(trainer)
+            del trainer
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_step_looks_up_batch_forward_backward_per_call(self):
         net = _tiny_net()

@@ -197,6 +197,45 @@ class TestShiftBackward:
         np.testing.assert_allclose(analytic, numeric, atol=1e-9)
 
 
+STRIDED_CASES = [(k, d, side) for k in (3, 5) for d in (1, 2) for side in (1, 2, 8, 9)]
+
+
+class TestStridedShift:
+    """At stride 2 the shift writes only the positions a stride-2 1x1 reads."""
+
+    @pytest.mark.parametrize("k,dilation,side", STRIDED_CASES)
+    def test_forward_is_the_strided_one_hot_depthwise(self, k, dilation, side):
+        rng = np.random.default_rng(k * 100 + dilation * 10 + side)
+        spec = make_shift_spec(2 * k * k + 1, k, dilation)
+        x = rng.normal(size=(2, spec.channels, side, side)).astype(np.float32)
+        kernel = replace(one_hot_depthwise_kernel(spec), stride=2)
+        got = shift_forward(x, spec, 2)
+        assert got.shape[2:] == ((side + 1) // 2,) * 2
+        assert np.array_equal(got, conv2d_depthwise(x, kernel))
+
+    @pytest.mark.parametrize("k,dilation,side", STRIDED_CASES)
+    def test_backward_is_the_adjoint(self, k, dilation, side):
+        rng = np.random.default_rng(k * 100 + dilation * 10 + side + 1)
+        spec = make_shift_spec(2 * k * k + 1, k, dilation)
+        x = rng.normal(size=(2, spec.channels, side, side))
+        d = rng.normal(size=(2, spec.channels) + ((side + 1) // 2,) * 2)
+        dx = shift_backward(d, spec, 2, (side, side))
+        assert dx.shape == x.shape
+        lhs = np.vdot(shift_forward(x, spec, 2), d)
+        assert lhs == pytest.approx(np.vdot(x, dx), rel=1e-12, abs=1e-12)
+
+    def test_backward_needs_a_matching_plane(self):
+        spec = make_shift_spec(9, 3)
+        d = np.zeros((1, 9, 4, 4))
+        with pytest.raises(ValueError, match="input plane"):
+            shift_backward(d, spec, 2)
+        with pytest.raises(ValueError, match="input plane"):
+            shift_backward(d, spec, 2, (9, 8))
+        with pytest.raises(ValueError, match="input plane"):
+            shift_backward(d, spec, 2, (6, 8))
+        assert shift_backward(d, spec, 2, (7, 8)).shape == (1, 9, 7, 8)
+
+
 class TestFusedKernel:
     def test_identity_noop(self):
         rng = np.random.default_rng(5)
