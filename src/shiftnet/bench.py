@@ -46,6 +46,11 @@ class BenchCase:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("channels", "out_channels", "feature", "kernel", "stride",
+                     "batch", "reps", "warmup"):
+            value, least = getattr(self, name), 0 if name == "warmup" else 1
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
     @property
     def dims(self) -> str:
@@ -92,7 +97,9 @@ def default_suite() -> list[BenchCase]:
 def parse_suite(text: str) -> list[BenchCase]:
     """Parse a key=value sectioned suite file into benchmark cases."""
     out = []
-    for _, body in parse_sections(text):
+    for header, body in parse_sections(text):
+        if "kind" not in body:
+            raise ValueError(f"section [{header}] has no kind")
         kind = body.pop("kind")
         kwargs = {k: int(v) for k, v in body.items()}
         out.append(BenchCase(kind, **kwargs))

@@ -440,17 +440,6 @@ class CscConfig:
             return round_half_up(self.expansion * self.out_channels)
         return round_half_up(self.expansion * self.in_channels)
 
-    @property
-    def main_out_channels(self) -> int:
-        if self.stride == 2 and self.downsample == "concat" \
-                and self.out_channels == 2 * self.in_channels:
-            return self.out_channels - self.in_channels
-        return self.out_channels
-
-    @property
-    def has_shortcut(self) -> bool:
-        return self.stride == 1 or self.out_channels == 2 * self.in_channels
-
 
 class CscBlock(Residual):
     """Conv-shift-conv module: BN-ReLU-1x1, BN-shift(stride)-ReLU-1x1, + shortcut.
@@ -495,9 +484,11 @@ class CscBlock(Residual):
         self.bn2 = BatchNorm(mid, dtype)
         self.shift = Shift(self.spec, cfg.stride)
         self.relu2 = ReLU()
-        self.pw2 = Conv(mid, cfg.main_out_channels, 1, 1, seeds.next(), dtype)
-        self.concat = cfg.main_out_channels != cfg.out_channels
-        if cfg.has_shortcut:
+        doubles = cfg.out_channels == 2 * cfg.in_channels
+        self.concat = cfg.stride == 2 and cfg.downsample == "concat" and doubles
+        self.pw2 = Conv(mid, cfg.out_channels - self.concat * cfg.in_channels, 1, 1,
+                        seeds.next(), dtype)
+        if cfg.stride == 1 or doubles:
             self.shortcut = cfg.in_channels if self.concat else cfg.out_channels
 
     def _main(self, x, mode):

@@ -20,11 +20,20 @@ DATA_ENV = "SHIFTNET_DATA_DIR"
 def _resolve_arch(args) -> Network:
     """Build from a known name, or load a plain-text config if --arch is a file."""
     is_file = os.path.exists(args.arch)
-    if args.expansion is not None and (
-            is_file or not args.arch.lower().startswith("shiftresnet")):
+    key = args.arch.lower()
+    if args.expansion is not None and (is_file or not key.startswith("shiftresnet")):
         target = "a config file" if is_file else args.arch
         raise ValueError(f"--expansion does not apply to {target}; "
                          "only shiftresnet architectures take it")
+    reduce_mode = getattr(args, "reduce", None)
+    if getattr(args, "target_params", None) is not None and not reduce_mode:
+        raise ValueError("--target-params needs --reduce")
+    if reduce_mode and (is_file or not key.startswith("resnet")):
+        raise ValueError("--reduce applies to plain resnet architectures")
+    shift_layer = key == "shift_layer" and not is_file
+    for flag in ("channels", "kernel"):
+        if getattr(args, flag, None) is not None and not shift_layer:
+            raise ValueError(f"--{flag} applies only to shift_layer")
     if is_file:
         with open(args.arch) as f:
             cfg = nets.parse_config(f.read())
@@ -34,24 +43,22 @@ def _resolve_arch(args) -> Network:
             cfg["seed"] = args.seed
         return nets.rebuild(cfg)
     seed = args.seed or 0
-    reduce_mode = getattr(args, "reduce", None)
     if reduce_mode:
-        if not args.arch.lower().startswith("resnet"):
-            raise ValueError("--reduce applies to plain resnet architectures")
         if not args.target_params:
             raise ValueError("--reduce needs --target-params")
-        depth = int(args.arch.lower()[len("resnet"):])
         mode = {"module": "module_wise", "net": "net_wise"}[reduce_mode]
-        return nets.reduce_resnet(depth, args.target_params, mode,
+        return nets.reduce_resnet(nets.name_depth(args.arch, "resnet"),
+                                  args.target_params, mode,
                                   num_classes=args.classes or 10, seed=seed)
-    if args.arch.lower() == "shift_layer":
+    if shift_layer:
         for flag in ("classes", "seed"):
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} does not apply to shift_layer, "
                                  "which has no weights and no classifier")
-        rows = [ArchRow("shift", "shift", kernel=getattr(args, "kernel", 3))]
+        kernel, channels = (getattr(args, f, None) for f in ("kernel", "channels"))
+        rows = [ArchRow("shift", "shift", kernel=3 if kernel is None else kernel)]
         return Network("shift_layer", rows, num_classes=0,
-                       input_channels=getattr(args, "channels", 16))
+                       input_channels=16 if channels is None else channels)
     expansion = 1.0 if args.expansion is None else args.expansion
     return nets.build_by_name(args.arch, expansion=expansion,
                               num_classes=args.classes, seed=seed)
@@ -88,7 +95,7 @@ def _cmd_count(args) -> int:
         sys.stdout.write(accounting.format_table(report))
     key = args.arch.lower()
     if key.startswith("shiftresnet") and not os.path.exists(args.arch):
-        base = nets.build_resnet(int(key[len("shiftresnet"):]),
+        base = nets.build_resnet(nets.name_depth(key, "shiftresnet"),
                                  args.classes or 10, args.seed or 0)
         base_rep = accounting.cost_report(base, args.input)
         prate, frate = accounting.reduction_report(base_rep, report)
@@ -190,10 +197,10 @@ def _add_arch_flags(p):
 
 
 def _add_shift_layer_flags(p):
-    p.add_argument("--channels", type=int, default=16,
-                   help="channel count for shift_layer queries")
-    p.add_argument("--kernel", type=int, default=3,
-                   help="shift window side for shift_layer queries")
+    p.add_argument("--channels", type=int,
+                   help="channel count for shift_layer queries (default 16)")
+    p.add_argument("--kernel", type=int,
+                   help="shift window side for shift_layer queries (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -320,16 +320,24 @@ def reduce_resnet(depth: int, target_params: int, mode: str,
     return scaled_resnet(depth, lo, mode, num_classes, seed, dtype)
 
 
+def name_depth(name: str, family: str) -> int:
+    """Depth of a `<family><digits>` name such as resnet20; else unknown architecture."""
+    digits = name.lower()[len(family):]
+    if not (name.lower().startswith(family) and digits.isdecimal()):
+        raise ValueError(f"unknown architecture {name!r}")
+    return int(digits)
+
+
 def build_by_name(name: str, expansion: float = 1.0, num_classes: int | None = None,
                   seed: int = 0, dtype=REAL) -> Network:
     """CLI-facing dispatch: resnet{depth}, shiftresnet{depth}, shiftnet{a,b,c}."""
     key = name.lower()
     if key.startswith("shiftresnet"):
-        depth = int(key[len("shiftresnet"):])
-        return build_shiftresnet(depth, expansion, num_classes or 10, seed, dtype=dtype)
+        return build_shiftresnet(name_depth(name, "shiftresnet"), expansion,
+                                 num_classes or 10, seed, dtype=dtype)
     if key.startswith("resnet"):
-        depth = int(key[len("resnet"):])
-        return build_resnet(depth, num_classes or 10, seed, dtype=dtype)
+        return build_resnet(name_depth(name, "resnet"), num_classes or 10, seed,
+                            dtype=dtype)
     if key.startswith("shiftnet") and len(key) == len("shiftnet") + 1:
         return build_shiftnet(key[-1], num_classes or 1000, seed, dtype=dtype)
     raise ValueError(f"unknown architecture {name!r}")

@@ -2,12 +2,13 @@
 
 Spatial, depthwise and pointwise (1x1) convolutions, batch normalization,
 ReLU, average pooling, fully-connected and softmax cross-entropy. All
-functions are pure in their array arguments, with two exceptions: train-mode
-batch norm updates the BatchNormState running stats, and `relu` and
-`relu_backward` write into the `out=` array, which saves an allocation when
-the caller owns that array and nothing else reads it. All respect the dtype
-of their inputs, so the same code path runs in float32 for training and
-float64 for finite-difference checks.
+functions are pure in their array arguments, with two exceptions:
+`batchnorm_backward` commits its train forward's batch statistics to the
+BatchNormState running stats, and `relu` and `relu_backward` write into the
+`out=` array, which saves an allocation when the caller owns that array and
+nothing else reads it. All respect the dtype of their inputs, so the same
+code path runs in float32 for training and float64 for finite-difference
+checks.
 
 Convolution kernels carry no bias: every convolution in this framework is
 followed by a batch norm whose beta subsumes it, and parameter/FLOP counts
@@ -197,10 +198,10 @@ def conv2d_pointwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKerne
 
 
 def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
-    """Normalize per channel. Returns (y, cache); train mode updates running stats.
+    """Normalize per channel. Returns (y, cache) and writes no argument.
 
-    Train-mode normalization uses biased batch statistics over (batch, row,
-    col); eval mode uses the running statistics and leaves them untouched.
+    Train mode normalizes with biased batch statistics over (batch, row, col)
+    and caches them; eval mode uses the running statistics (cache None).
     """
     if x.shape[1] != state.gamma.shape[0]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
@@ -210,9 +211,6 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
         var = x.var(axis=(0, 2, 3), mean=mean)     # reuses the mean's reduction
         mean = mean.reshape(-1)
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        m = state.momentum
-        state.running_mean[:] = m * state.running_mean + (1 - m) * mean
-        state.running_var[:] = m * state.running_var + (1 - m) * var
     elif mode == "eval":
         mean = state.running_mean.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
@@ -224,12 +222,15 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     offset = state.beta - scale * mean
     y = x * scale.reshape(1, -1, 1, 1)
     y += offset.reshape(1, -1, 1, 1)
-    return y, (x, mean, inv_std, state)
+    return y, (x, mean, inv_std, var, state) if mode == "train" else None
 
 
 def batchnorm_backward(dout: np.ndarray, cache):
-    """Gradients (dx, dgamma, dbeta) of a train-mode batchnorm_forward."""
-    x, mean, inv_std, state = cache
+    """Gradients (dx, dgamma, dbeta) of a train forward; commits its batch stats."""
+    x, mean, inv_std, var, state = cache
+    m = state.momentum
+    state.running_mean[:] = m * state.running_mean + (1 - m) * mean
+    state.running_var[:] = m * state.running_var + (1 - m) * var
     dbeta = np.sum(dout, axis=(0, 2, 3))
     sum_dx_x = np.einsum("bchw,bchw->c", dout, x)
     dgamma = (sum_dx_x - mean * dbeta) * inv_std

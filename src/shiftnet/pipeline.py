@@ -283,24 +283,18 @@ def _augment_batch(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _diagnose_nonfinite(net: Network, x: np.ndarray) -> str:
     """Name of the first tensor (input, parameter or activation) that is non-finite.
 
-    Batch-norm running stats moved by the train-mode re-run are put back.
-    """
+    Its train-mode re-run writes only caches, which `Network.discard_step` drops."""
     for name, p in net.named_params():
         if not np.all(np.isfinite(p.value)):
             return f"param {name}"
     if not np.all(np.isfinite(x)):
         return "input batch"
-    saved = [a.copy() for _, a in net.named_state()]
-    try:
-        h = x
-        for lname, layer in net.layers:
-            h = layer.forward(h, "train")
-            if not np.all(np.isfinite(h)):
-                return f"activation {lname}"
-        return "loss"
-    finally:
-        for (_, a), old in zip(net.named_state(), saved):
-            a[...] = old
+    h = x
+    for lname, layer in net.layers:
+        h = layer.forward(h, "train")
+        if not np.all(np.isfinite(h)):
+            return f"activation {lname}"
+    return "loss"
 
 
 class Trainer:
@@ -308,7 +302,8 @@ class Trainer:
 
     State: `rng` (batches, augmentation), `velocity` (momentum buffers by
     parameter name), `iteration` (completed updates). Every step looks up
-    `dataset.batch`, `net.forward` and `net.backward` anew."""
+    `dataset.batch`, `net.forward` and `net.backward` anew. The net's arrays
+    change only in backward and the update, after the loss is checked."""
 
     def __init__(self, net: Network, dataset: Dataset, schedule: TrainSchedule):
         if len(dataset) == 0:
@@ -326,9 +321,9 @@ class Trainer:
         """One update; returns its (iteration, lr, loss, acc) row.
 
         A non-finite loss raises TrainingDiverged naming the first non-finite
-        tensor, leaving no step in flight and the last good step's iteration,
-        velocity, parameters and batch-norm running statistics; the trainer
-        is then spent (StopIteration)."""
+        tensor; `Network.discard_step` drops the step's caches, which leaves
+        the last good step's iteration, velocity, parameters and batch-norm
+        running statistics. The trainer is then spent (StopIteration)."""
         return next(self._steps)
 
     def _loop(self):
@@ -338,16 +333,10 @@ class Trainer:
             x, y = self.dataset.batch(idx)
             if schedule.augment:
                 x = _augment_batch(x, self.rng)
-            # the train forward moves the running stats before the loss is checked
-            running = [a for n, a in net.named_state()
-                       if n.endswith(("running_mean", "running_var"))]
-            kept = [a.copy() for a in running]
             logits = net.forward(x, "train")
             loss, probs = ops.softmax_xent(logits, y)
             if not np.isfinite(loss):
                 culprit = _diagnose_nonfinite(net, x)
-                for a, old in zip(running, kept):
-                    a[...] = old
                 net.discard_step()
                 raise TrainingDiverged(
                     f"non-finite loss at iteration {it}; first non-finite tensor: {culprit}")

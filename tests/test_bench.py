@@ -76,6 +76,18 @@ class TestRunner:
         with pytest.raises(ValueError):
             BenchCase("conv_transpose")
 
+    @pytest.mark.parametrize("field,value", [
+        ("channels", 0), ("out_channels", 0), ("feature", 0), ("kernel", 0),
+        ("stride", 0), ("batch", 0), ("reps", 0), ("warmup", -1)])
+    def test_sizes_below_their_least_rejected(self, field, value):
+        least = value + 1
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be at least {least}, got {value}$"):
+            BenchCase("shift", **{field: value})
+
+    def test_zero_warmup_allowed(self):
+        assert BenchCase("shift", warmup=0).warmup == 0
+
 
 class TestSuiteFile:
     def test_parse_round_trip(self):
@@ -106,6 +118,10 @@ class TestSuiteFile:
         cells = lines[1].split(",")
         assert cells[0] == "shift"
         assert int(cells[6]) == 4 * 2 * 8 * 8 * 8  # bytes = 4 * words
+
+    def test_section_without_kind_named(self):
+        with pytest.raises(ValueError, match=r"section \[second\] has no kind"):
+            parse_suite("[first]\nkind = shift\n[second]\nchannels = 9\n")
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):

@@ -194,10 +194,12 @@ class TestAgainstOracles:
         state.gamma[:] = rng.uniform(0.5, 2.0, shape[1])
         want_y, want_mean, want_inv_std, want_running_var = \
             batchnorm_train_oracle(x, state)
-        y, (_, mean, inv_std, _) = ops.batchnorm_forward(x, state, "train")
+        y, cache = ops.batchnorm_forward(x, state, "train")
+        _, mean, inv_std, _, _ = cache
         assert np.array_equal(y, want_y)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(inv_std, want_inv_std)       # var, through 1/sqrt
+        ops.batchnorm_backward(np.ones_like(x), cache)
         assert np.array_equal(state.running_var, want_running_var.astype(np.float32))
 
     @pytest.mark.parametrize("channels,kernel,dilation,perm,side", [
@@ -347,27 +349,31 @@ def _doubled_pool_backward(dout, x):
     return ops.avgpool2x2_backward(dout[:, :c] + dout[:, c:], x)
 
 
+def _has_shortcut(cfg):
+    return cfg.stride == 1 or cfg.out_channels == 2 * cfg.in_channels
+
+
 def csc_forward_oracle(block, x, mode):
     cfg = block.cfg
     main = Composite.forward(block, x, mode)
     if cfg.stride == 1:
         main += x
-    elif cfg.has_shortcut and cfg.downsample == "add":
+    elif _has_shortcut(cfg) and cfg.downsample == "add":
         main += _doubled_pool(x)
-    elif cfg.has_shortcut:
+    elif _has_shortcut(cfg):
         return np.concatenate([ops.avgpool2x2(x), main], axis=1)
     return main
 
 
 def csc_backward_oracle(block, dout, x):
     cfg, c = block.cfg, block.cfg.in_channels
-    concat = cfg.stride == 2 and cfg.has_shortcut and cfg.downsample == "concat"
+    concat = cfg.stride == 2 and _has_shortcut(cfg) and cfg.downsample == "concat"
     d = Composite.backward(block, dout[:, c:] if concat else dout)
     if cfg.stride == 1:
         d += dout
     elif concat:
         d += ops.avgpool2x2_backward(dout[:, :c], x)
-    elif cfg.has_shortcut:
+    elif _has_shortcut(cfg):
         d += _doubled_pool_backward(dout, x)
     return d
 

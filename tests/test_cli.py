@@ -82,6 +82,33 @@ class TestCount:
         assert f"{flag} does not apply to shift_layer" in err
         assert out == ""
 
+    def test_target_params_needs_reduce(self, capsys):
+        code, out, err = run_cli(capsys, "count", "--arch", "resnet20",
+                                 "--target-params", "5")
+        assert code == 1
+        assert "--target-params needs --reduce" in err
+        assert out == ""
+
+    def test_reduce_rejects_a_config_file(self, capsys, tmp_path):
+        _, cfg, _ = run_cli(capsys, "arch", "dump", "--arch", "resnet20")
+        path = tmp_path / "r20.cfg"
+        path.write_text(cfg)
+        code, out, err = run_cli(capsys, "count", "--arch", str(path),
+                                 "--reduce", "net", "--target-params", "100000")
+        assert code == 1
+        assert "--reduce applies to plain resnet architectures" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("resnet",), ("shiftresnet",), ("resnetx",),
+        ("resnet", "--reduce", "net", "--target-params", "100000"),
+        ("resnetx", "--reduce", "module", "--target-params", "100000")])
+    def test_malformed_arch_name_is_unknown(self, capsys, argv):
+        code, out, err = run_cli(capsys, "count", "--arch", *argv)
+        assert code == 1
+        assert f"unknown architecture '{argv[0]}'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ("--arch", "resnet20"),
         ("--arch", "shiftnetc"),
@@ -158,6 +185,19 @@ class TestArchDump:
                                  flag, "7")
         assert code == 1
         assert f"{flag} does not apply to shift_layer" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("cmd", [("count",), ("arch", "dump")])
+@pytest.mark.parametrize("flag", ["--channels", "--kernel"])
+def test_shift_layer_flags_rejected_elsewhere(capsys, tmp_path, cmd, flag):
+    _, cfg, _ = run_cli(capsys, "arch", "dump", "--arch", "resnet20")
+    path = tmp_path / "r20.cfg"
+    path.write_text(cfg)
+    for arch in ("resnet20", str(path)):
+        code, out, err = run_cli(capsys, *cmd, "--arch", arch, flag, "5")
+        assert code == 1
+        assert f"{flag} applies only to shift_layer" in err
         assert out == ""
 
 
@@ -282,3 +322,16 @@ class TestBenchCli:
             lines = f.read().strip().splitlines()
         assert lines[0].startswith("kind,dims,variant")
         assert len(lines) == 3  # unfused + fused rows
+
+    @pytest.mark.parametrize("body,message", [
+        ("kind = shift\nbatch = 0\n", "batch must be at least 1, got 0"),
+        ("kind = shift\nreps = 0\n", "reps must be at least 1, got 0"),
+        ("channels = 8\n", "section [case] has no kind")])
+    def test_bench_checks_each_case_before_timing(self, capsys, tmp_path,
+                                                  body, message):
+        cfg = tmp_path / "suite.cfg"
+        cfg.write_text("[case]\n" + body)
+        code, out, err = run_cli(capsys, "bench", "--config", str(cfg))
+        assert code == 1
+        assert message in err
+        assert out == ""

@@ -182,3 +182,15 @@ def test_eval_forward_writes_no_layer_attribute(name, monkeypatch):
     monkeypatch.setattr(blocks.Composite, "__setattr__", refuse)
     for n in (1, EVAL_SLICE, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
         net.forward(rng.normal(size=(n, 3, 32, 32)).astype(np.float32), "eval")
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_train_forward_writes_no_persisted_array(name):
+    """A train forward with no backward leaves every parameter and batch-norm
+    running statistic bit-identical, so dropping its caches undoes it."""
+    net = BUILDERS[name]()
+    before = [(n, a.copy()) for n, a in net.named_state()]
+    x = np.random.default_rng(7).normal(size=(2, 3, 32, 32)).astype(np.float32)
+    net.forward(x, "train")
+    for (n, a), (_, old) in zip(net.named_state(), before):
+        assert a.dtype == old.dtype and a.tobytes() == old.tobytes(), n

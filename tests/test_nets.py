@@ -100,6 +100,12 @@ class TestSkeletons:
         with pytest.raises(ValueError):
             build_by_name("vgg16")
 
+    @pytest.mark.parametrize("name", ["resnet", "shiftresnet", "resnetx",
+                                      "resnet20x", "shiftresnet-20"])
+    def test_build_by_name_rejects_malformed_depth(self, name):
+        with pytest.raises(ValueError, match=f"^unknown architecture '{name}'$"):
+            build_by_name(name)
+
 
 class TestParamHeadlines:
     def test_table_values(self):

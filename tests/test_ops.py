@@ -188,7 +188,8 @@ class TestBatchNorm:
         rng = np.random.default_rng(8)
         x = (rng.normal(size=(16, 3, 8, 8)) * 2 + 0.5).astype(np.float32)
         state = BatchNormState.create(3)
-        batchnorm_forward(x, state, "train")
+        _, cache = batchnorm_forward(x, state, "train")
+        batchnorm_backward(np.ones_like(x), cache)
         expected_mean = 0.9 * 0 + 0.1 * x.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(state.running_mean, expected_mean, rtol=1e-5)
         assert np.all(state.running_var > 0)
