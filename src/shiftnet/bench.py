@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import LayerCost
-from .nets import parse_sections
+from .nets import parse_sections, read_fields
 from .ops import (ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial,
                   out_size)
 from .shift import (fused_shift_pointwise, make_shift_spec, shift_forward,
@@ -67,7 +67,7 @@ class BenchRow:
     p10_ns: float
     p90_ns: float
     model_words: int
-    model_flops: int
+    model_macs: int
 
 
 @dataclass
@@ -75,11 +75,11 @@ class BenchReport:
     rows: list = field(default_factory=list)
 
     def to_csv(self) -> str:
-        lines = ["kind,dims,variant,median_ns,p10_ns,p90_ns,model_bytes,model_flops"]
+        lines = ["kind,dims,variant,median_ns,p10_ns,p90_ns,model_bytes,model_macs"]
         for r in self.rows:
             lines.append(f"{r.kind},{r.dims},{r.variant},{r.median_ns:.0f},"
                          f"{r.p10_ns:.0f},{r.p90_ns:.0f},{4 * r.model_words},"
-                         f"{r.model_flops}")
+                         f"{r.model_macs}")
         return "\n".join(lines) + "\n"
 
 
@@ -95,14 +95,8 @@ def default_suite() -> list[BenchCase]:
 
 
 def parse_suite(text: str) -> list[BenchCase]:
-    """Parse a key=value sectioned suite file into benchmark cases."""
-    out = []
-    for header, body in parse_sections(text):
-        if "kind" not in body:
-            raise ValueError(f"section [{header}] has no kind")
-        kind = body.pop("kind")
-        kwargs = {k: int(v) for k, v in body.items()}
-        out.append(BenchCase(kind, **kwargs))
+    """Parse a key=value sectioned suite file, one BenchCase per section."""
+    out = [read_fields(BenchCase, *section) for section in parse_sections(text)]
     if not out:
         raise ValueError("suite defines no cases")
     return out

@@ -117,11 +117,9 @@ def _cmd_train(args) -> int:
     train_ds, _ = _load_data(data_spec, net.num_classes, seed, args.synth_n)
     if args.subset and args.subset < len(train_ds):
         train_ds = train_ds.subset(slice(args.subset))
-    decay_points = tuple(int(p) for p in args.decay.split(",") if p) \
-        if args.decay else ()
     schedule = pipeline.TrainSchedule(
         max_iters=args.iters, base_lr=args.lr, batch_size=args.batch,
-        lr_decay_points=decay_points, decay_factor=args.decay_factor,
+        lr_decay_points=args.decay, decay_factor=args.decay_factor,
         momentum=args.momentum, weight_decay=args.weight_decay,
         seed=seed, augment=args.augment, log_every=args.log_every)
     log = pipeline.train(net, train_ds, schedule, out_checkpoint=args.out)
@@ -186,6 +184,10 @@ def _cmd_arch_dump(args) -> int:
     return 0
 
 
+def iterations(text: str) -> tuple[int, ...]:   # --decay's type; "" for none
+    return tuple(int(p) for p in text.split(",") if p)
+
+
 def _add_arch_flags(p):
     p.add_argument("--arch", required=True,
                    help="architecture name or config file path")
@@ -226,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.1)
     p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--decay", default="32000,48000",
-                   help="comma-separated decay iterations")
+    p.add_argument("--decay", type=iterations, default="32000,48000",
+                   help="comma-separated decay iterations ('' for none)")
     p.add_argument("--decay-factor", type=float, default=0.1)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--weight-decay", type=float, default=1e-4)

@@ -22,7 +22,8 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -55,6 +56,23 @@ class ArchRow:
     downsample: str = "add"
     permutation_id: int = 0
     mid_channels: int | None = None
+
+    def __post_init__(self):
+        widths = ("out_channels",) if self.type in ("conv", "csc", "sc2", "basic") else ()
+        for key in widths + ("repeat", "mid_channels"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+
+
+@dataclass(frozen=True)
+class NetHeader:
+    """A config's `[net]` section: everything about a network but its rows."""
+
+    name: str = "custom"
+    num_classes: int = 10
+    seed: int = 0
+    input_channels: int = 3
 
 
 class Network(Composite):
@@ -359,30 +377,42 @@ def _row_to_dict(row: ArchRow) -> dict:
     return d
 
 
-def _row_from_dict(d: dict) -> ArchRow:
-    kwargs = dict(d)
-    if "expansion" in kwargs:
-        kwargs["expansion"] = float(kwargs["expansion"])
-    for key in ("out_channels", "repeat", "stride", "kernel", "dilation",
-                "permutation_id", "mid_channels"):
-        if key in kwargs and kwargs[key] is not None:
-            kwargs[key] = int(kwargs[key])
-    return ArchRow(**kwargs)
+def read_fields(cls, section: str, body: dict):
+    """Build dataclass `cls` from `body`, reading each value's text as its field's type.
+
+    An unknown or missing key, a value that does not read (8.5 is no int)
+    or one `cls` rejects raises ValueError naming `[section]`.
+    """
+    types = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in body and f.default is MISSING:
+            raise ValueError(f"section [{section}] has no {f.name}")
+    kwargs = {}
+    for key, value in body.items():
+        if key not in types:
+            raise ValueError(f"section [{section}] has unknown key {key!r}")
+        kinds = get_args(types[key]) or (types[key],)   # `int | None` takes None
+        try:
+            kwargs[key] = None if value is None and type(None) in kinds \
+                else kinds[0](str(value))
+        except ValueError:
+            raise ValueError(f"section [{section}]: {key} = {value!r} does not "
+                             f"read as {kinds[0].__name__}") from None
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ValueError(f"section [{section}]: {e}") from None
 
 
 def dump_config(net: Network) -> str:
-    """Architecture as key=value sections, one per table row."""
-    lines = ["[net]", f"name = {net.name}", f"num_classes = {net.num_classes}",
-             f"seed = {net.seed}"]
-    if net.input_channels != 3:
-        lines.append(f"input_channels = {net.input_channels}")
-    lines.append("")
-    for i, row in enumerate(net.rows):
-        lines.append(f"[row{i}]")
-        for key, val in _row_to_dict(row).items():
-            lines.append(f"{key} = {val}")
-        lines.append("")
-    return "\n".join(lines)
+    """Architecture as key=value sections: `[net]`, then one per table row."""
+    config = net.config()
+    rows = config.pop("rows")
+    if config["input_channels"] == NetHeader.input_channels:
+        del config["input_channels"]
+    sections = [("net", config)] + [(f"row{i}", row) for i, row in enumerate(rows)]
+    return "\n".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                     for name, body in sections)
 
 
 def parse_sections(text: str) -> list[tuple[str, dict]]:
@@ -402,27 +432,27 @@ def parse_sections(text: str) -> list[tuple[str, dict]]:
     return sections
 
 
-def parse_config(text: str) -> dict:
-    """Parse dump_config output back into a config dict for rebuild()."""
-    meta = {"name": "custom", "num_classes": 10, "seed": 0, "input_channels": 3}
-    rows = []
-    for header, body in parse_sections(text):
-        if header == "net":
-            meta["name"] = body.get("name", meta["name"])
-            for key in ("num_classes", "seed", "input_channels"):
-                if key in body:
-                    meta[key] = int(body[key])
-        else:
-            rows.append(_row_from_dict(body))
+def _read_config(head: dict, rows: list) -> tuple[NetHeader, list[ArchRow]]:
     if not rows:
         raise ValueError("config defines no rows")
-    meta["rows"] = [_row_to_dict(r) for r in rows]
-    return meta
+    return read_fields(NetHeader, "net", head), [read_fields(ArchRow, *r) for r in rows]
+
+
+def parse_config(text: str) -> dict:
+    """Read dump_config output into the config dict rebuild() takes: `[net]`
+    as a NetHeader, every other section as an ArchRow."""
+    sections = parse_sections(text)
+    head = {k: v for name, body in sections if name == "net" for k, v in body.items()}
+    header, rows = _read_config(head, [s for s in sections if s[0] != "net"])
+    return {**asdict(header), "rows": [_row_to_dict(r) for r in rows]}
 
 
 def rebuild(config: dict, dtype=REAL) -> Network:
-    """Reconstruct a network from a config dict (as produced by Network.config)."""
-    rows = [_row_from_dict(d) for d in config["rows"]]
-    return Network(config["name"], rows, int(config["num_classes"]),
-                   int(config.get("seed", 0)),
-                   int(config.get("input_channels", 3)), dtype=dtype)
+    """Reconstruct a network from a config dict (as produced by Network.config),
+    read like a text config: `rows[i]` as section `[row<i>]`, the rest as `[net]`."""
+    rows = config.get("rows")
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ValueError(f"section [net]: rows must list row objects, got {rows!r}")
+    head = {k: v for k, v in config.items() if k != "rows"}
+    header, rows = _read_config(head, [(f"row{i}", r) for i, r in enumerate(rows)])
+    return Network(rows=rows, dtype=dtype, **asdict(header))

@@ -435,9 +435,9 @@ def save_checkpoint(net: Network, path: str, iteration: int = 0,
 def load_checkpoint(path: str, dtype=REAL) -> tuple[Network, dict]:
     """Rebuild the network named by the manifest and restore every array bit-exactly.
 
-    The manifest must hold a `config` object and a list of entries (str
-    `name`, list `shape`, int `offset`) that name each live array once and
-    tile the blob in order; anything else raises ValueError.
+    The manifest must hold a `config` object that `nets.rebuild` reads and
+    a list of entries (str `name`, list `shape`, int `offset`) that name each
+    live array once and tile the blob in order; anything else raises ValueError.
     """
     with open(path) as f:
         manifest = json.load(f)

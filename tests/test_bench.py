@@ -22,14 +22,14 @@ class TestModels:
 
     def test_shift_only_zero_flops(self):
         rows = run_case(_quick("shift"), seed=0)
-        assert rows[0].model_flops == 0
+        assert rows[0].model_macs == 0
         assert rows[0].model_words == 2 * 8 * 8 * 8
 
     def test_fused_moves_fewer_words(self):
         rows = run_case(_quick("shift_pointwise"), seed=0)
         by_variant = {r.variant: r for r in rows}
         assert by_variant["fused"].model_words < by_variant["unfused"].model_words
-        assert by_variant["fused"].model_flops == by_variant["unfused"].model_flops
+        assert by_variant["fused"].model_macs == by_variant["unfused"].model_macs
 
     def test_strided_shift_pointwise_hand_values(self):
         # the default suite's s2 case: 64 -> 64 channels, 32x32 in, 16x16 out
@@ -38,7 +38,7 @@ class TestModels:
         by_variant = {r.variant: r for r in rows}
         pointwise_words = 16 * 16 * (64 + 64) + 64 * 64    # at the strided output
         for variant in ("fused", "unfused"):
-            assert by_variant[variant].model_flops == 64 * 64 * 16 * 16 == 1_048_576
+            assert by_variant[variant].model_macs == 64 * 64 * 16 * 16 == 1_048_576
         assert by_variant["fused"].model_words == pointwise_words
         # the shift still moves the whole 32x32 input
         assert by_variant["unfused"].model_words == 2 * 64 * 32 * 32 + pointwise_words
@@ -46,7 +46,7 @@ class TestModels:
     def test_spatial_flops(self):
         rows = run_case(_quick("spatial", channels=4, out_channels=6, feature=8),
                         seed=0)
-        assert rows[0].model_flops == 4 * 6 * 8 * 8 * 9
+        assert rows[0].model_macs == 4 * 6 * 8 * 8 * 9
 
 
 class TestRunner:
@@ -58,9 +58,9 @@ class TestRunner:
     def test_reproducible_model_columns(self):
         a = run_bench([_quick("shift_pointwise")], seed=3)
         b = run_bench([_quick("shift_pointwise")], seed=3)
-        fixed_a = [(r.kind, r.dims, r.variant, r.model_words, r.model_flops)
+        fixed_a = [(r.kind, r.dims, r.variant, r.model_words, r.model_macs)
                    for r in a.rows]
-        fixed_b = [(r.kind, r.dims, r.variant, r.model_words, r.model_flops)
+        fixed_b = [(r.kind, r.dims, r.variant, r.model_words, r.model_macs)
                    for r in b.rows]
         assert fixed_a == fixed_b
 
@@ -113,7 +113,7 @@ class TestSuiteFile:
     def test_csv_columns(self):
         report = run_bench([_quick("shift")], seed=0)
         lines = report.to_csv().strip().splitlines()
-        assert lines[0] == "kind,dims,variant,median_ns,p10_ns,p90_ns,model_bytes,model_flops"
+        assert lines[0] == "kind,dims,variant,median_ns,p10_ns,p90_ns,model_bytes,model_macs"
         assert len(lines) == 2
         cells = lines[1].split(",")
         assert cells[0] == "shift"
@@ -122,6 +122,12 @@ class TestSuiteFile:
     def test_section_without_kind_named(self):
         with pytest.raises(ValueError, match=r"section \[second\] has no kind"):
             parse_suite("[first]\nkind = shift\n[second]\nchannels = 9\n")
+
+    @pytest.mark.parametrize("line,key", [("chanels = 8", "chanels"),
+                                          ("channels = 8.5", "channels")])
+    def test_bad_key_or_value_named(self, line, key):
+        with pytest.raises(ValueError, match=rf"section \[case\].*\b{key}\b"):
+            parse_suite(f"[case]\nkind = shift\n{line}\n")
 
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):

@@ -265,6 +265,12 @@ class TestWorkflows:
         assert f"{field} must be at least 1, got 0" in err
         assert not os.path.exists(out)
 
+    def test_unreadable_decay_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "train", "--arch", "shiftresnet20",
+                               "--decay", "10,x")
+        assert code == 2
+        assert "argument --decay" in err
+
     def test_train_rejects_a_net_without_classifier(self, capsys):
         code, _, err = run_cli(capsys, "train", "--arch", "shift_layer",
                                "--data", "synth", "--synth-n", "16",

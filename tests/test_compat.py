@@ -24,7 +24,7 @@ from shiftnet.accounting import cost_report, report_to_csv
 from shiftnet.blocks import Composite
 from shiftnet.nets import (EVAL_SLICE, ArchRow, Network, build_resnet,
                            build_shiftnet, build_shiftresnet, dump_config,
-                           reduce_resnet)
+                           parse_config, reduce_resnet)
 from shiftnet.pipeline import save_checkpoint
 
 
@@ -149,6 +149,12 @@ EXPECTED = {
 @pytest.mark.parametrize("name", list(BUILDERS))
 def test_formats_unchanged(name, tmp_path):
     assert digests(BUILDERS[name](), tmp_path) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_dumped_config_reads_back(name):
+    net = BUILDERS[name]()
+    assert parse_config(dump_config(net)) == net.config()
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))

@@ -187,11 +187,43 @@ class TestConfigRoundTrip:
         for key in ("type", "stride", "kernel", "expansion", "out_channels", "repeat"):
             assert f"{key} = " in text
 
+    _TEXT = ("[net]\nname = tiny\nnum_classes = 10\n\n[row0]\nlabel = stem\n"
+             "type = conv\nout_channels = 8\n\n[row1]\nlabel = pool\ntype = pool\n")
+
+    @pytest.mark.parametrize("old,new,section,key", [
+        ("num_classes = 10", "num_classes = ten", "net", "num_classes"),
+        ("num_classes = 10", "num_clases = 100", "net", "num_clases"),
+        ("out_channels = 8", "out_channel = 8", "row0", "out_channel"),
+        ("out_channels = 8", "out_channels = 0", "row0", "out_channels"),
+        ("type = pool", "type = pool\nrepeat = 0", "row1", "repeat"),
+    ])
+    def test_bad_key_or_value_named(self, old, new, section, key):
+        assert rebuild(parse_config(self._TEXT)).num_classes == 10
+        with pytest.raises(ValueError, match=rf"section \[{section}\].*\b{key}\b"):
+            parse_config(self._TEXT.replace(old, new))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_config("type = csc\n")  # key before any section
         with pytest.raises(ValueError):
             parse_config("[net]\nname = x\n")  # no rows
+
+
+class TestArchRowBounds:
+    @pytest.mark.parametrize("row,message", [
+        (lambda: ArchRow("stem", "conv", 0), "out_channels must be at least 1, got 0"),
+        (lambda: ArchRow("g", "csc", 16, repeat=0), "repeat must be at least 1, got 0"),
+        (lambda: ArchRow("pool", "pool", repeat=-1), "repeat must be at least 1, got -1"),
+        (lambda: ArchRow("g", "basic", 16, mid_channels=0),
+         "mid_channels must be at least 1, got 0"),
+    ], ids=["conv-width-0", "repeat-0", "pool-repeat-negative", "mid-width-0"])
+    def test_rejected(self, row, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            row()
+
+    def test_rows_without_width_accepted(self):
+        assert ArchRow("", "").out_channels == 0
+        assert ArchRow("pool", "pool").out_channels == 0
 
 
 class TestEvalKeepsNoCaches:

@@ -623,6 +623,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="manifest"):
             load_checkpoint(self._tamper(tmp_path, edit_manifest=in_place))
 
+    @pytest.mark.parametrize("edit,section,key", [
+        (lambda c: c.pop("rows"), "net", "rows"),
+        (lambda c: c.update(rows=5), "net", "rows"),
+        (lambda c: c.update(rows=[5]), "net", "rows"),
+        (lambda c: c["rows"][0].update(colour=1), "row0", "colour"),
+        (lambda c: c["rows"][0].update(out_channels=16.7), "row0", "out_channels"),
+    ], ids=["no-rows", "rows-int", "row-int", "unknown-row-key", "width-float"])
+    def test_malformed_config_named(self, tmp_path, edit, section, key):
+        def in_config(manifest):
+            edit(manifest["config"])
+        with pytest.raises(ValueError, match=rf"section \[{section}\].*\b{key}\b"):
+            load_checkpoint(self._tamper(tmp_path, edit_manifest=in_config))
+
     def test_duplicated_offset_rejected(self, tmp_path):
         def alias(by_name, _):
             # same shape, so only the offsets can tell the two apart
