@@ -11,14 +11,13 @@ Two views of a module's intermediate channels:
 Group membership is the block's `ShiftSpec.group_ids`, derived once with the
 spec; nothing here regroups channels.
 
-Activations are recorded post-shift, immediately before the second pointwise
-convolution consumes them: at the output of the block's `relu2`, which runs
-after the shift, so the values are shifted and rectified. A strided block's
-shift carries the stride, so its capture holds only the ho x wo positions
-`pw2` reads, not the full input plane. The capture reaches
-the network only through its layer walk: an eval forward of the layers up to
-that point, which wraps no method and writes no attribute. Outputs are plain
-CSV so heatmaps can be replotted with any external tool.
+Activations are recorded post-shift: the block's `CscBlock.mix`, the tensor
+the second pointwise convolution reads. Its last child `relu2` runs after the
+shift, so the values are shifted and rectified; a strided block's shift
+carries the stride, so only the ho x wo positions `pw2` reads are held. The
+capture runs the network's own eval path, the layers before the block and
+then `mix` in `nets.in_slices`; it wraps no method and writes no attribute.
+Outputs are plain CSV so heatmaps can be replotted with any external tool.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import CscBlock, run_layers
-from .nets import EVAL_SLICE, Network
+from .nets import Network, in_slices
 from .pipeline import Dataset, _require_positive
 from .shift import ShiftSpec
 
@@ -61,26 +60,21 @@ def find_csc_block(net: Network, module_id: str) -> CscBlock:
 
 def record_activations(net: Network, dataset: Dataset, module_id: str,
                        max_images: int = 256) -> ActivationTrace:
-    """Capture the module's post-shift activations with an eval prefix walk.
+    """Capture the module's post-shift activations on the eval path.
 
-    `EVAL_SLICE` images at a time run through the layers before the block,
-    then through the block's children up to and including `relu2`. Nothing
-    after it runs, and no attribute of the network or its layers is written.
+    The first `max_images` images run `in_slices` through the layers before
+    the block, then its `mix`: the tensor `pw2` reads. `pw2` never runs, and
+    no attribute of the network or its layers is written.
     """
     _require_positive("max_images", max_images)
     block = find_csc_block(net, module_id)
     n = min(len(dataset), max_images)
     if n == 0:
         raise ValueError("empty dataset")
-    names = [name for name, _ in net.layers]
-    prefix = net.layers[:names.index(module_id)]
-    inner = block.children()[:block.child_names.index("relu2") + 1]
-    chunks = []
-    for start in range(0, n, EVAL_SLICE):
-        x, _ = dataset.batch(np.arange(start, min(start + EVAL_SLICE, n)))
-        out = run_layers(inner, run_layers(prefix, x, "eval"), "eval")
-        chunks.append(out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1]))
-    samples = np.concatenate(chunks, axis=0)
+    prefix = net.layers[:net.layers.index((module_id, block))]
+    x, _ = dataset.batch(np.arange(n))
+    out = in_slices(lambda s: block.mix(run_layers(prefix, s, "eval"), "eval"), x)
+    samples = out.transpose(0, 2, 3, 1).reshape(-1, out.shape[1])
     return ActivationTrace(module_id, samples, block.spec.group_ids, block.spec)
 
 

@@ -457,12 +457,12 @@ class CscBlock(Residual):
     output, so it and `pw2` cache the same array and batch norm's output is
     freed as soon as the shift has read it.
 
-    In eval, a block whose shift strides swaps `bn2` with the shift that
-    follows it in `child_names`, so `bn2` normalizes only the positions `pw2`
-    reads, and resets the vacated positions to +0: eval batch norm is a
-    per-channel affine map, so it commutes with the shift except there, where
-    the declared order holds +0. Train (`bn2`'s batch statistics span the
-    plane) and stride-1 blocks walk `child_names` as declared.
+    The main path is `pw2` over `mix`, every child before it. In eval, where
+    `bn2` directly precedes a striding shift, `mix` runs it after the shift on
+    only the positions `pw2` reads and resets the vacated positions to +0:
+    eval batch norm is a per-channel affine map, so it commutes with the shift
+    except there, where the declared order holds +0. Train (`bn2`'s batch
+    statistics span the plane) and stride-1 blocks walk `child_names` as declared.
     The "sc2" variant shifts once more at the very start (child `shift0`).
     Training runs shift and pw2 unfused on purpose: the fused kernel measured
     slower (see `shift.fused_shift_pointwise`).
@@ -491,15 +491,19 @@ class CscBlock(Residual):
         if cfg.stride == 1 or doubles:
             self.shortcut = cfg.in_channels if self.concat else cfg.out_channels
 
-    def _main(self, x, mode):
-        i = self.child_names.index("shift")
+    def mix(self, x, mode):
+        """Every child before `pw2`, the last: the post-shift tensor `pw2` reads."""
+        walk, i = self.children()[:-1], self.child_names.index("shift")
         if mode != "eval" or self.shift.stride == 1 or self.child_names[i - 1] != "bn2":
-            return Composite.forward(self, x, mode)
-        y = run_layers(self.children()[:i - 1], x, mode)
+            return run_layers(walk, x, mode)
+        y = run_layers(walk[:i - 1], x, mode)
         plane = y.shape[2:]
         y = self.bn2.forward(self.shift.forward(y, mode), mode)
         zero_vacated(y, self.spec, plane, self.shift.stride)
-        return run_layers(self.children()[i + 1:], y, mode)
+        return run_layers(walk[i + 1:], y, mode)
+
+    def _main(self, x, mode):
+        return self.pw2.forward(self.mix(x, mode), mode)
 
 
 class BasicBlock(Residual):

@@ -41,12 +41,20 @@ VALID_DEPTHS = (20, 56, 110)
 EVAL_SLICE = 16
 
 
+def in_slices(run, x):
+    """Per-image `run` over EVAL_SLICE-image slices of `x`, concatenated."""
+    return np.concatenate([run(x[i:i + EVAL_SLICE]) for i in range(0, len(x), EVAL_SLICE)])
+
+
+ROW_TYPES = ("conv", "csc", "sc2", "basic", "shift", "pool", "fc")
+
+
 @dataclass(frozen=True)
 class ArchRow:
     """One architecture table row; `repeat` expands to that many identical blocks."""
 
     label: str
-    type: str                 # conv | csc | sc2 | basic | pool | fc
+    type: str                 # one of ROW_TYPES
     out_channels: int = 0
     repeat: int = 1
     stride: int = 1
@@ -58,11 +66,21 @@ class ArchRow:
     mid_channels: int | None = None
 
     def __post_init__(self):
+        if self.type not in ROW_TYPES:
+            raise ValueError(f"type must be one of {', '.join(ROW_TYPES)}; "
+                             f"got {self.type!r}")
         widths = ("out_channels",) if self.type in ("conv", "csc", "sc2", "basic") else ()
-        for key in widths + ("repeat", "mid_channels"):
+        for key in widths + ("repeat", "mid_channels", "stride", "dilation"):
             value = getattr(self, key)
             if value is not None and value < 1:
                 raise ValueError(f"{key} must be at least 1, got {value}")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
+        if self.downsample not in ("add", "concat"):
+            raise ValueError(f"downsample must be add or concat, got {self.downsample!r}")
+        if not 0 < self.expansion < float("inf"):
+            raise ValueError(f"expansion must be finite and positive, "
+                             f"got {self.expansion}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +92,18 @@ class NetHeader:
     seed: int = 0
     input_channels: int = 3
 
+    def __post_init__(self):
+        for key, least in (("num_classes", 0), ("input_channels", 1)):
+            value = getattr(self, key)
+            if value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
+
 
 class Network(Composite):
     """An ordered stack of layers/blocks: the composite walk over `layers`.
 
-    An eval forward runs the body (up to the last global pool) EVAL_SLICE
-    images at a time and the head once; eval is per image, so the logits are
+    An eval forward runs the body (up to the last global pool) `in_slices`
+    of EVAL_SLICE images and the head once; eval is per image, so the logits are
     bit-identical to one pass. Only a train-mode forward fills the caches
     that `backward` reads (an eval forward writes none), and
     `backward` drops them as it reads them. So `backward` raises RuntimeError
@@ -116,8 +140,7 @@ class Network(Composite):
         if mode != "eval" or not self._body_end:
             return super().forward(x, mode)
         body, head = self.layers[:self._body_end], self.layers[self._body_end:]
-        h = np.concatenate([run_layers(body, x[i:i + EVAL_SLICE], mode)
-                            for i in range(0, len(x), EVAL_SLICE)])
+        h = in_slices(lambda s: run_layers(body, s, mode), x)
         return run_layers(head, h, mode)
 
     def backward(self, dout):
@@ -186,13 +209,11 @@ def _make_layer(row: ArchRow, width: int, num_classes: int,
             layer = CscBlock(cfg, seeds, dtype)
         return f"{row.label}.block{idx}", layer, row.out_channels
     if row.type == "shift":
-        spec = make_shift_spec(width, row.kernel, row.dilation)
-        return row.label, Shift(spec), width
+        spec = make_shift_spec(width, row.kernel, row.dilation, row.permutation_id)
+        return row.label, Shift(spec, row.stride), width
     if row.type == "pool":
         return row.label, GlobalAvgPool(), width
-    if row.type == "fc":
-        return row.label, Linear(width, num_classes, seeds.next(), dtype), num_classes
-    raise ValueError(f"unknown row type {row.type!r}")
+    return row.label, Linear(width, num_classes, seeds.next(), dtype), num_classes  # fc
 
 
 def _group_size(depth: int) -> int:
@@ -363,7 +384,7 @@ def build_by_name(name: str, expansion: float = 1.0, num_classes: int | None = N
 
 # --- plain-text architecture configs -------------------------------------
 
-_ROW_DEFAULTS = ArchRow("", "")
+_ROW_DEFAULTS = {f.name: f.default for f in fields(ArchRow)}
 
 
 def _row_to_dict(row: ArchRow) -> dict:
@@ -371,7 +392,7 @@ def _row_to_dict(row: ArchRow) -> dict:
     core = ("stride", "kernel", "expansion", "out_channels", "repeat")
     for key in core + ("dilation", "downsample", "permutation_id", "mid_channels"):
         val = getattr(row, key)
-        if val != getattr(_ROW_DEFAULTS, key) or \
+        if val != _ROW_DEFAULTS[key] or \
                 (key in core and row.type in ("conv", "csc", "sc2", "basic")):
             d[key] = val
     return d

@@ -162,21 +162,29 @@ class TestRecording:
         assert len(trace.groups) == 16
 
     def test_records_what_the_second_pointwise_reads(self, trained, monkeypatch):
-        """Equal to pw2's input in a full eval forward, and pw2 itself never runs."""
+        """Equal to pw2's input in a full eval forward, and pw2 itself never
+        runs; the strided block's bn2 normalizes only the 16x16 plane pw2 reads."""
         net, _ = trained
         ds = synth_dataset(2 * EVAL_SLICE + 1, 10, seed=3)
         block = dict(net.named_blocks())["group2.block0"]
-        seen = []
-        forward = block.pw2.forward
+        seen, bn2_planes = [], []
+        forward, bn2_forward = block.pw2.forward, block.bn2.forward
 
         def spy(x, mode="train"):
             seen.append(x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
             return forward(x, mode)
 
+        def bn2_spy(x, mode="train"):
+            bn2_planes.append(x.shape[2:])
+            return bn2_forward(x, mode)
+
         monkeypatch.setattr(block.pw2, "forward", spy)
+        monkeypatch.setattr(block.bn2, "forward", bn2_spy)
         for n in (1, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
             trace = record_activations(net, ds, "group2.block0", max_images=n)
             assert seen == [], n
+            assert set(bn2_planes) == {(16, 16)}, n
+            bn2_planes.clear()
             net.forward(ds.batch(np.arange(n))[0], "eval")
             assert np.array_equal(trace.samples, np.concatenate(seen)), n
             assert trace.samples.min() >= 0

@@ -6,10 +6,12 @@ import pytest
 from shiftnet import ops
 from shiftnet.accounting import count_params
 from shiftnet.blocks import BasicBlock, Composite, CscBlock, ReLU, Shift
-from shiftnet.nets import (ArchRow, Network, build_by_name, build_resnet,
-                           build_shiftnet, build_shiftresnet, dump_config,
-                           parse_config, rebuild, reduce_resnet, scaled_resnet)
+from shiftnet.nets import (_ROW_DEFAULTS, ArchRow, NetHeader, Network, build_by_name,
+                           build_resnet, build_shiftnet, build_shiftresnet,
+                           dump_config, parse_config, rebuild, reduce_resnet,
+                           scaled_resnet)
 from shiftnet.pipeline import TrainSchedule, synth_dataset, train
+from shiftnet.shift import make_shift_spec
 
 
 class TestSkeletons:
@@ -182,6 +184,23 @@ class TestConfigRoundTrip:
         shift = clone.layers[0][1]
         assert isinstance(shift, Shift) and shift.spec.channels == 64
 
+    _SHIFT_ROW = ("[net]\nnum_classes = 0\ninput_channels = 16\n\n[row0]\n"
+                  "label = shift\ntype = shift\n")
+
+    def test_shift_row_builds_its_stride(self):
+        text = self._SHIFT_ROW + "stride = 2\n"
+        net = rebuild(parse_config(text))
+        assert net.layers[0][1].stride == 2
+        x = np.random.default_rng(0).normal(size=(2, 16, 8, 8)).astype(np.float32)
+        assert net.forward(x, "eval").shape == (2, 16, 4, 4)
+        assert dump_config(net).endswith("stride = 2\n")
+
+    def test_shift_row_builds_its_permutation(self):
+        text = self._SHIFT_ROW + "permutation_id = 3\n"
+        net = rebuild(parse_config(text))
+        assert net.layers[0][1].spec == make_shift_spec(16, 3, 1, permutation_id=3)
+        assert dump_config(net).endswith("permutation_id = 3\n")
+
     def test_dump_carries_table_columns(self):
         text = dump_config(build_shiftnet("a"))
         for key in ("type", "stride", "kernel", "expansion", "out_channels", "repeat"):
@@ -196,6 +215,9 @@ class TestConfigRoundTrip:
         ("out_channels = 8", "out_channel = 8", "row0", "out_channel"),
         ("out_channels = 8", "out_channels = 0", "row0", "out_channels"),
         ("type = pool", "type = pool\nrepeat = 0", "row1", "repeat"),
+        ("type = pool", "type = cnv", "row1", "type"),
+        ("out_channels = 8", "out_channels = 8\nstride = 0", "row0", "stride"),
+        ("num_classes = 10", "num_classes = -3", "net", "num_classes"),
     ])
     def test_bad_key_or_value_named(self, old, new, section, key):
         assert rebuild(parse_config(self._TEXT)).num_classes == 10
@@ -216,14 +238,38 @@ class TestArchRowBounds:
         (lambda: ArchRow("pool", "pool", repeat=-1), "repeat must be at least 1, got -1"),
         (lambda: ArchRow("g", "basic", 16, mid_channels=0),
          "mid_channels must be at least 1, got 0"),
-    ], ids=["conv-width-0", "repeat-0", "pool-repeat-negative", "mid-width-0"])
+        (lambda: ArchRow("stem", "cnv", 8),
+         "type must be one of conv, csc, sc2, basic, shift, pool, fc; got 'cnv'"),
+        (lambda: ArchRow("stem", "conv", 8, kernel=0), "kernel must be odd and positive, got 0"),
+        (lambda: ArchRow("stem", "conv", 8, kernel=4), "kernel must be odd and positive, got 4"),
+        (lambda: ArchRow("g", "csc", 16, stride=0), "stride must be at least 1, got 0"),
+        (lambda: ArchRow("s", "shift", dilation=0), "dilation must be at least 1, got 0"),
+        (lambda: ArchRow("g", "csc", 16, downsample="cat"),
+         "downsample must be add or concat, got 'cat'"),
+        (lambda: ArchRow("g", "csc", 16, expansion=float("nan")),
+         "expansion must be finite and positive, got nan"),
+        (lambda: ArchRow("g", "csc", 16, expansion=float("inf")),
+         "expansion must be finite and positive, got inf"),
+        (lambda: ArchRow("g", "csc", 16, expansion=0.0),
+         "expansion must be finite and positive, got 0.0"),
+    ], ids=["conv-width-0", "repeat-0", "pool-repeat-negative", "mid-width-0",
+            "type-unknown", "kernel-0", "kernel-even", "stride-0", "dilation-0",
+            "downsample-unknown", "expansion-nan", "expansion-inf", "expansion-0"])
     def test_rejected(self, row, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             row()
 
     def test_rows_without_width_accepted(self):
-        assert ArchRow("", "").out_channels == 0
+        assert _ROW_DEFAULTS["out_channels"] == 0
         assert ArchRow("pool", "pool").out_channels == 0
+
+
+class TestNetHeaderBounds:
+    @pytest.mark.parametrize("key,value,least", [
+        ("num_classes", -3, 0), ("input_channels", 0, 1)])
+    def test_rejected(self, key, value, least):
+        with pytest.raises(ValueError, match=f"^{key} must be at least {least}, got {value}$"):
+            NetHeader(**{key: value})
 
 
 class TestEvalKeepsNoCaches:
