@@ -122,11 +122,14 @@ class Network(Composite):
         seeds = SeedStream(seed)
         width = input_channels
         counters: dict[str, int] = {}
-        for row in rows:
-            for _ in range(row.repeat):
-                lname, layer, width = _make_layer(row, width, num_classes,
-                                                  counters, seeds, dtype)
-                self.layers.append((lname, layer))
+        for i, row in enumerate(rows):
+            try:       # a layer's rule may involve the previous row's width
+                for _ in range(row.repeat):
+                    lname, layer, width = _make_layer(row, width, num_classes,
+                                                      counters, seeds, dtype)
+                    self.layers.append((lname, layer))
+            except ValueError as e:
+                raise ValueError(f"section [row{i}]: {e}") from None
         # the body (stem, blocks, global pool) is per image; the head is not
         self._body_end = max((i + 1 for i, (_, layer) in enumerate(self.layers)
                               if isinstance(layer, GlobalAvgPool)), default=0)

@@ -197,19 +197,46 @@ def conv2d_pointwise_backward(dout: np.ndarray, x: np.ndarray, kernel: ConvKerne
     return dx, dw
 
 
+def row_sums(a: np.ndarray, b: np.ndarray):
+    """Per-row sum(a) and sum(a * b) of two (rows, n) arrays.
+
+    Each row is its own einsum sum, so its bits do not depend on the other
+    rows in the call. A GEMV with ones is faster but does: OpenBLAS sums a
+    remainder of under 4 rows, and each thread's share, in another order.
+    """
+    return np.einsum("ij->i", a), np.einsum("ij,ij->i", a, b)
+
+
+def batch_moments(s: np.ndarray, q: np.ndarray, n: int):
+    """Float64 per-channel mean and biased variance from per-image row sums.
+
+    `s` and `q` are (images, channels) sums of x and x^2, each over n
+    positions. Each row is centred on its own mean, and the rows combine over
+    images in a fixed order (Chan, Golub & LeVeque's update at equal counts).
+    """
+    s, q = s.astype(np.float64), q.astype(np.float64)
+    row_mean = s / n
+    mean = row_mean.mean(axis=0)
+    m2 = (q - s * row_mean).sum(axis=0) + n * np.square(row_mean - mean).sum(axis=0)
+    return mean, m2 / (n * len(s))
+
+
 def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     """Normalize per channel. Returns (y, cache) and writes no argument.
 
     Train mode normalizes with biased batch statistics over (batch, row, col)
     and caches them; eval mode uses the running statistics (cache None).
+    The statistics are `batch_moments` of each (image, channel) plane's
+    `row_sums`, so any split of the batch into runs of images gives the same bits.
     """
     if x.shape[1] != state.gamma.shape[0]:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, "
                          f"batch norm expects {state.gamma.shape[0]}")
     if mode == "train":
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = x.var(axis=(0, 2, 3), mean=mean)     # reuses the mean's reduction
-        mean = mean.reshape(-1)
+        b, c = x.shape[:2]
+        rows = x.reshape(b * c, -1)
+        s, q = row_sums(rows, rows)
+        mean, var = batch_moments(s.reshape(b, c), q.reshape(b, c), rows.shape[1])
         inv_std = 1.0 / np.sqrt(var + state.epsilon)
     elif mode == "eval":
         mean = state.running_mean.astype(x.dtype)
@@ -226,14 +253,19 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
 
 
 def batchnorm_backward(dout: np.ndarray, cache):
-    """Gradients (dx, dgamma, dbeta) of a train forward; commits its batch stats."""
+    """Gradients (dx, dgamma, dbeta) of a train forward; commits its batch stats.
+
+    Its sums over (batch, row, col) add per-image `row_sums` in float64.
+    """
     x, mean, inv_std, var, state = cache
     m = state.momentum
     state.running_mean[:] = m * state.running_mean + (1 - m) * mean
     state.running_var[:] = m * state.running_var + (1 - m) * var
-    dbeta = np.sum(dout, axis=(0, 2, 3))
-    sum_dx_x = np.einsum("bchw,bchw->c", dout, x)
-    dgamma = (sum_dx_x - mean * dbeta) * inv_std
+    b, c = x.shape[:2]
+    dbeta, sum_dx_x = (p.reshape(b, c).sum(axis=0, dtype=np.float64) for p in
+                       row_sums(dout.reshape(b * c, -1), x.reshape(b * c, -1)))
+    dgamma = ((sum_dx_x - mean * dbeta) * inv_std).astype(x.dtype)
+    dbeta = dbeta.astype(x.dtype)
     scale = state.gamma * inv_std
     # dx = A*dout + B*x + C with per-channel coefficients (the usual
     # batch-stat chain rule rearranged into one affine pass)

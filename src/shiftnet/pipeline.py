@@ -114,7 +114,7 @@ def _standardize_stats(images_u8: np.ndarray):
     """Per-channel float32 mean and std of the [0, 1]-scaled images, from exact sums.
 
     Each (image, channel) plane, as float32 zero-padded to whole parts, gives
-    exact per-part sum(x) (a GEMV with ones) and sum(x^2) (see `_STAT_PART`);
+    exact per-part sum(x) and sum(x^2) (`ops.row_sums`; see `_STAT_PART`);
     the parts add up in int64, then in Python ints, because n * sum(x^2)
     overflows int64 at CIFAR size.
     """
@@ -122,14 +122,13 @@ def _standardize_stats(images_u8: np.ndarray):
     plane = images_u8[0, 0].size
     parts = -(-plane // _STAT_PART)
     buf = np.zeros((min(_STAT_IMAGES, b), c, parts * _STAT_PART), dtype=np.float32)
-    ones = np.ones(_STAT_PART, dtype=np.float32)
     sums = np.zeros((2, c), dtype=np.int64)
     for i in range(0, b, _STAT_IMAGES):
         block = images_u8[i:i + _STAT_IMAGES]
         x = buf[:len(block)]
         x[:, :, :plane] = block.reshape(len(block), c, plane)
         rows = x.reshape(-1, _STAT_PART)
-        per_part = np.stack([rows @ ones, np.einsum("ij,ij->i", rows, rows)])
+        per_part = np.stack(ops.row_sums(rows, rows))
         sums += per_part.reshape(2, len(block), c, parts).sum(axis=(1, 3), dtype=np.int64)
     n = images_u8.size // c
     mean = [int(a) / (255 * n) for a in sums[0]]

@@ -16,6 +16,10 @@ concatenate, and write the whole split with `tobytes`.
 The standardization statistics sum exact float32 parts of each plane; the
 oracle takes float64 moments of the whole set.
 
+Train batch norm takes its statistics from per-(image, channel) row sums;
+the oracle sums each plane on its own and adds the rows up one image at a
+time in float64, each row centred on its own mean.
+
 The aliasing tests pin the in-place rule of `blocks`: layers may overwrite
 arrays they own, but no block and no network writes to its `x` or `dout`.
 
@@ -92,9 +96,26 @@ def conv_backward_oracle(dout, x, kernel):
 
 
 def batchnorm_train_oracle(x, state):
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))
+    b, c, h, w = x.shape
+    n = h * w
+    s, q = np.zeros((b, c)), np.zeros((b, c))
+    for i in range(b):
+        for ch in range(c):
+            row = x[i, ch].ravel()
+            s[i, ch] = np.einsum("j->", row)
+            q[i, ch] = np.einsum("j,j->", row, row)
+    row_mean = s / n
+    total = np.zeros(c)
+    for i in range(b):
+        total = total + row_mean[i]
+    mean = total / b
+    within, between = np.zeros(c), np.zeros(c)
+    for i in range(b):
+        within = within + (q[i] - s[i] * row_mean[i])
+        between = between + np.square(row_mean[i] - mean)
+    var = (within + n * between) / (n * b)
     inv_std = (1.0 / np.sqrt(var + state.epsilon)).astype(x.dtype)
+    mean = mean.astype(x.dtype)
     scale = state.gamma * inv_std
     y = x * scale.reshape(1, -1, 1, 1)
     y += (state.beta - scale * mean).reshape(1, -1, 1, 1)

@@ -1,12 +1,15 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftnet import ops
 from shiftnet.accounting import count_params
 from shiftnet.blocks import BasicBlock, Composite, CscBlock, ReLU, Shift
-from shiftnet.nets import (_ROW_DEFAULTS, ArchRow, NetHeader, Network, build_by_name,
+from shiftnet.nets import (_ROW_DEFAULTS, ROW_TYPES, ArchRow, NetHeader, Network, build_by_name,
                            build_resnet, build_shiftnet, build_shiftresnet,
                            dump_config, parse_config, rebuild, reduce_resnet,
                            scaled_resnet)
@@ -224,11 +227,73 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError, match=rf"section \[{section}\].*\b{key}\b"):
             parse_config(self._TEXT.replace(old, new))
 
+    # rules that involve the previous row's width belong to the layer; the
+    # build names the row whose layer raised
+    @pytest.mark.parametrize("row1,message", [
+        ("type = csc\nout_channels = 16\nstride = 3\n", "stride must be 1 or 2, got 3"),
+        ("type = csc\nout_channels = 16\n",
+         "stride-1 blocks need in_channels == out_channels"),
+        ("type = basic\nout_channels = 16\n", "stride-1 basic blocks need in == out channels"),
+    ], ids=["csc-stride-3", "csc-wider", "basic-wider"])
+    def test_layer_rule_names_row(self, row1, message):
+        text = "[row0]\nlabel = stem\ntype = conv\nout_channels = 8\n[row1]\nlabel = g\n"
+        with pytest.raises(ValueError, match=rf"^section \[row1\]: {message}"):
+            rebuild(parse_config(text + row1))
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_config("type = csc\n")  # key before any section
         with pytest.raises(ValueError):
             parse_config("[net]\nname = x\n")  # no rows
+
+
+# valid values, and at most one bad value per case, so that many cases reach
+# the build (widths up to 64, repeat up to 3)
+_FUZZ_ROW = st.fixed_dictionaries({
+    "type": st.sampled_from(ROW_TYPES),
+    "out_channels": st.sampled_from((8, 16, 32, 64)),
+}, optional={
+    "repeat": st.sampled_from((1, 2, 3)),
+    "stride": st.sampled_from((1, 2, 3)),
+    "kernel": st.sampled_from((1, 3, 5)),
+    "expansion": st.sampled_from(("1", "3", "0.5", "0.01")),
+    "dilation": st.sampled_from((1, 2)),
+    "downsample": st.sampled_from(("add", "concat")),
+    "permutation_id": st.sampled_from((0, 3)),
+    "mid_channels": st.sampled_from((8, 16)),
+})
+_FUZZ_NET = st.fixed_dictionaries({}, optional={
+    "num_classes": st.sampled_from((10, 3, 0)),
+    "input_channels": st.sampled_from((3, 8, 16)),
+    "seed": st.sampled_from((0, 7)),
+})
+_FUZZ_BAD = (("net", "num_classes", -1), ("net", "input_channels", 0), ("net", "seed", "x"),
+             ("row", "type", "cnv"), ("row", "out_channels", 0), ("row", "repeat", 0),
+             ("row", "stride", 0), ("row", "kernel", 4), ("row", "expansion", "nan"),
+             ("row", "expansion", "x"), ("row", "dilation", 0), ("row", "downsample", "cat"),
+             ("row", "permutation_id", -1), ("row", "mid_channels", 0), ("row", "widht", 8))
+
+
+class TestConfigFuzz:
+    """Every small text config builds and round-trips, or names its section."""
+
+    @given(_FUZZ_NET, st.lists(_FUZZ_ROW, min_size=1, max_size=4),
+           st.none() | st.tuples(st.integers(0, 3), st.sampled_from(_FUZZ_BAD)))
+    @settings(max_examples=300, deadline=None)
+    def test_builds_or_names_section(self, head, rows, bad):
+        if bad:
+            i, (where, key, value) = bad
+            (head if where == "net" else rows[i % len(rows)])[key] = value
+        sections = [("net", head)] + [(f"row{i}", {"label": f"r{i}", **row})
+                                      for i, row in enumerate(rows)]
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                       for name, body in sections)
+        try:
+            net = rebuild(parse_config(text))
+        except ValueError as e:
+            assert re.match(r"section \[(net|row\d+)\]", str(e)), str(e)
+            return
+        assert parse_config(dump_config(net)) == net.config()
 
 
 class TestArchRowBounds:
@@ -347,8 +412,9 @@ class TestFloat64GradientOracle:
     within rounding of zero may fall on the other side of the kink in float64
     (one of 524,288 did after 3 steps at seed 0, moving three group1.block2
     gradients by 1e-4), and that is a branch, not rounding. Measured with
-    these masks, the worst per-parameter relative error was 9.5e-7 at init and
-    1.3e-6 after 3 steps (medians 3.8e-7, 5.5e-7); the bound leaves headroom.
+    these masks, the worst per-parameter relative error was 7.4e-7 at init and
+    7.2e-7 after 3 steps (medians 2.5e-7, 3.4e-7; 9.5e-7 and 1.3e-6 before
+    batch norm took its sums from per-image row sums); the bound leaves headroom.
     """
 
     BOUND = 1e-5

@@ -207,6 +207,36 @@ class TestBatchNorm:
         assert np.array_equal(rm, state.running_mean)
         assert np.array_equal(rv, state.running_var)
 
+    # |mean| / std of 0, 1 and 3. The sums are float32, so the bounds are
+    # about 8 and 17 float32 epsilons (1.2e-7); the variance rounds worst at
+    # offset 3, where each row's sum of squares cancels against its sum
+    @pytest.mark.parametrize("shape", [(32, 16, 32, 32), (32, 48, 32, 32), (32, 64, 8, 8)])
+    @pytest.mark.parametrize("offset", [0, 1, 3])
+    def test_train_statistics_against_float64(self, shape, offset):
+        rng = np.random.default_rng(offset)
+        x = (rng.normal(size=shape) + offset).astype(np.float32)
+        _, (_, mean, _, var, _) = batchnorm_forward(x, BatchNormState.create(shape[1]), "train")
+        x64 = x.astype(np.float64)
+        want_mean, want_var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+        assert np.max(np.abs(mean - want_mean) / np.sqrt(want_var)) < 1e-6
+        assert np.max(np.abs(var - want_var) / want_var) < 2e-6
+
+    # the statistics of a batch are those of its per-image row sums, so the
+    # row sums of two parts of the batch combine to the same bits (5 channels:
+    # a part's row count need not be a multiple of 4)
+    @pytest.mark.parametrize("k", [1, 13])
+    @pytest.mark.parametrize("c,side", [(16, 32), (5, 32)])
+    def test_train_statistics_split_exactly(self, k, c, side):
+        rng = np.random.default_rng(k)
+        x = (rng.normal(size=(32, c, side, side)) * 2 + 1).astype(np.float32)
+        _, (_, mean, _, var, _) = batchnorm_forward(x, BatchNormState.create(c), "train")
+        n = side * side
+        parts = [ops.row_sums(r, r) for r in (x[:k].reshape(-1, n), x[k:].reshape(-1, n))]
+        s, q = (np.concatenate(p).reshape(32, c) for p in zip(*parts))
+        want_mean, want_var = ops.batch_moments(s, q, n)
+        assert np.array_equal(mean, want_mean.astype(np.float32))
+        assert np.array_equal(var, want_var)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             batchnorm_forward(np.zeros((1, 2, 2, 2)), BatchNormState.create(2), "test")
