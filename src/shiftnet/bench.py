@@ -23,8 +23,7 @@ import numpy as np
 
 from .accounting import LayerCost
 from .nets import parse_sections, read_fields
-from .ops import (ConvKernel, conv2d_depthwise, conv2d_pointwise, conv2d_spatial,
-                  out_size)
+from .ops import ConvKernel, conv2d, conv2d_depthwise, out_size
 from .shift import (fused_shift_pointwise, make_shift_spec, shift_forward,
                     unfused_shift_pointwise)
 
@@ -51,6 +50,8 @@ class BenchCase:
             value, least = getattr(self, name), 0 if name == "warmup" else 1
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if self.kernel % 2 == 0:
+            raise ValueError(f"kernel must be odd, got {self.kernel}")
 
     @property
     def dims(self) -> str:
@@ -150,12 +151,12 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
         kern = ConvKernel(rng.normal(size=(k, k, m, n)).astype(np.float32),
                           case.stride, k // 2)
         add("spatial", [("conv", out_size(f, k, case.stride, k // 2), k)],
-            lambda: conv2d_spatial(x, kern))
+            lambda: conv2d(x, kern))
     elif case.kind == "depthwise_pointwise":
         dw = ConvKernel(rng.normal(size=(k, k, m)).astype(np.float32), 1, k // 2)
         pw = ConvKernel(rng.normal(size=(m, n)).astype(np.float32), case.stride)
         add("depthwise_pointwise", [("depthwise", f, k), pointwise],
-            lambda: conv2d_pointwise(conv2d_depthwise(x, dw), pw))
+            lambda: conv2d(conv2d_depthwise(x, dw), pw))
     elif case.kind == "shift_pointwise":
         spec = make_shift_spec(m, k)
         pw = ConvKernel(rng.normal(size=(m, n)).astype(np.float32), case.stride)

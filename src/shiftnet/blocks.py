@@ -176,9 +176,9 @@ class Composite:
 class Conv(Layer):
     """k x k convolution without bias, zero-padded for same-size output at stride 1.
 
-    The kernel size picks the op: at k = 1 this is the 1x1 ("pointwise")
-    channel mix, its weight the (in, out) matrix and its stride a subsampling
-    of output positions; at k > 1 the weight is (k, k, in, out).
+    Every kernel size runs `ops.conv2d`. At k = 1 this is the 1x1
+    ("pointwise") channel mix, its weight the (in, out) matrix and its stride
+    a subsampling of output positions; at k > 1 the weight is (k, k, in, out).
     """
 
     param_names = ("weight",)
@@ -192,11 +192,9 @@ class Conv(Layer):
         self.padding = kernel_size // 2
         if kernel_size == 1:
             self.kind, shape = "pointwise", (in_channels, out_channels)
-            self._ops = (ops.conv2d_pointwise, ops.conv2d_pointwise_backward)
         else:
             self.kind = "conv"
             shape = (kernel_size, kernel_size, in_channels, out_channels)
-            self._ops = (ops.conv2d_spatial, ops.conv2d_spatial_backward)
         fan_in = kernel_size * kernel_size * in_channels
         self.weight = Param(he_normal(shape, fan_in, seed, dtype))
 
@@ -204,10 +202,10 @@ class Conv(Layer):
         return ConvKernel(self.weight.value, self.stride, self.padding)
 
     def run(self, x, mode):
-        return self._ops[0](x, self._kernel()), x
+        return ops.conv2d(x, self._kernel()), x
 
     def grad(self, dout, x):
-        dx, dw = self._ops[1](dout, x, self._kernel())
+        dx, dw = ops.conv2d_backward(dout, x, self._kernel())
         self.weight.grad += dw
         return dx
 

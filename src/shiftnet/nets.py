@@ -70,10 +70,10 @@ class ArchRow:
             raise ValueError(f"type must be one of {', '.join(ROW_TYPES)}; "
                              f"got {self.type!r}")
         widths = ("out_channels",) if self.type in ("conv", "csc", "sc2", "basic") else ()
-        for key in widths + ("repeat", "mid_channels", "stride", "dilation"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ValueError(f"{key} must be at least 1, got {value}")
+        for key in widths + ("repeat", "mid_channels", "stride", "dilation", "permutation_id"):
+            value, least = getattr(self, key), 0 if key == "permutation_id" else 1
+            if value is not None and value < least:
+                raise ValueError(f"{key} must be at least {least}, got {value}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if self.downsample not in ("add", "concat"):
@@ -93,7 +93,7 @@ class NetHeader:
     input_channels: int = 3
 
     def __post_init__(self):
-        for key, least in (("num_classes", 0), ("input_channels", 1)):
+        for key, least in (("num_classes", 0), ("seed", 0), ("input_channels", 1)):
             value = getattr(self, key)
             if value < least:
                 raise ValueError(f"{key} must be at least {least}, got {value}")
@@ -216,7 +216,9 @@ def _make_layer(row: ArchRow, width: int, num_classes: int,
         return row.label, Shift(spec, row.stride), width
     if row.type == "pool":
         return row.label, GlobalAvgPool(), width
-    return row.label, Linear(width, num_classes, seeds.next(), dtype), num_classes  # fc
+    if num_classes < 1:    # fc
+        raise ValueError(f"an fc row needs num_classes of at least 1, got {num_classes}")
+    return row.label, Linear(width, num_classes, seeds.next(), dtype), num_classes
 
 
 def _group_size(depth: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import ConvKernel, conv2d_pointwise, out_size
+from .ops import ConvKernel, conv2d, out_size
 
 
 @dataclass(frozen=True)
@@ -237,4 +237,4 @@ def fused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) ->
 
 def unfused_shift_pointwise(x: np.ndarray, spec: ShiftSpec, kernel: ConvKernel) -> np.ndarray:
     """What a CscBlock runs: the shift at the kernel's stride, then a stride-1 1x1."""
-    return conv2d_pointwise(shift_forward(x, spec, kernel.stride), ConvKernel(kernel.weights))
+    return conv2d(shift_forward(x, spec, kernel.stride), ConvKernel(kernel.weights))

@@ -1,8 +1,11 @@
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftnet.bench import (BenchCase, default_suite, parse_suite, run_bench,
+from shiftnet.bench import (KINDS, BenchCase, default_suite, parse_suite, run_bench,
                             run_case)
 
 
@@ -85,6 +88,13 @@ class TestRunner:
                            match=f"^{field} must be at least {least}, got {value}$"):
             BenchCase("shift", **{field: value})
 
+    @pytest.mark.parametrize("kind,kernel", [("spatial", 2), ("shift", 4),
+                                             ("depthwise_pointwise", 2)])
+    def test_even_kernel_rejected(self, kind, kernel):
+        with pytest.raises(ValueError, match=f"^section \\[case\\]: kernel must be odd, "
+                                             f"got {kernel}$"):
+            parse_suite(f"[case]\nkind = {kind}\nkernel = {kernel}\n")
+
     def test_zero_warmup_allowed(self):
         assert BenchCase("shift", warmup=0).warmup == 0
 
@@ -132,3 +142,41 @@ class TestSuiteFile:
     def test_empty_suite_rejected(self):
         with pytest.raises(ValueError):
             parse_suite("# nothing here\n")
+
+
+# valid values (channels and feature up to 8) and at most one bad value per
+# case, so that many cases reach the run
+_FUZZ_CASE = st.fixed_dictionaries({"kind": st.sampled_from(KINDS)}, optional={
+    "channels": st.sampled_from((1, 4, 8)),
+    "out_channels": st.sampled_from((1, 3, 8)),
+    "feature": st.sampled_from((1, 2, 5, 8)),
+    "kernel": st.sampled_from((1, 3, 5, 7)),
+    "stride": st.sampled_from((1, 2, 3)),
+    "batch": st.sampled_from((1, 2)),
+    "reps": st.sampled_from((1, 5)),
+    "warmup": st.sampled_from((0, 2)),
+})
+_FUZZ_BAD = (("kernel", 2), ("kernel", 4), ("kind", "conv"), ("channels", 0),
+             ("channels", "8.5"), ("feature", -1), ("stride", 0), ("batch", "x"),
+             ("reps", 0), ("warmup", -1), ("chanels", 8), ("kind", ""))
+
+
+class TestSuiteFuzz:
+    """Every small suite runs, or names the section it could not read."""
+
+    @given(st.lists(_FUZZ_CASE, min_size=1, max_size=3),
+           st.none() | st.tuples(st.integers(0, 2), st.sampled_from(_FUZZ_BAD)))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_or_names_section(self, cases, bad):
+        if bad:
+            i, (key, value) = bad
+            cases[i % len(cases)][key] = value
+        text = "".join(f"[case{i}]\n" + "".join(f"{k} = {v}\n" for k, v in case.items())
+                       for i, case in enumerate(cases))
+        try:
+            parsed = parse_suite(text)
+        except ValueError as e:
+            assert re.match(r"section \[case\d\]", str(e)), str(e)
+            return
+        for case in parsed:
+            assert run_case(replace(case, reps=1, warmup=0), seed=0)

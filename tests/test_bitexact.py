@@ -7,6 +7,12 @@ depend on it (criterion 8a's loss ratio moves with the summation order of
 the train path). So every comparison here is `array_equal`, never a
 tolerance. The convolution cases use the layer shapes the builders train.
 
+One convolution op serves every kernel size. Its forward and `dx` oracles
+are the earlier row-major im2col product; its weight gradient adds one
+product per image in image order, and the oracle is that loop written out.
+The 1x1 oracle is the separate 1x1 op it replaced: a product with the
+strided input, a per-image `dw`, and `dx` scattered into zeros.
+
 A shift's backward scatters each group back to its source positions; the
 oracle is the backward it replaced, a forward over a second, negated spec.
 
@@ -85,7 +91,14 @@ def conv_backward_oracle(dout, x, kernel):
     ho, wo = dout.shape[2], dout.shape[3]
     cols, _ = im2col_oracle(x, k, s, p)
     dymat = dout.transpose(0, 2, 3, 1).reshape(b * ho * wo, n)
-    dw = (cols.T @ dymat).reshape(kernel.weights.shape)
+    # one (k*k*m, positions) @ (positions, n) product per image, added in
+    # image order; OpenBLAS rounds a product by its operands' memory layout,
+    # so each image's patches are a C-ordered matrix and its dout^T a view
+    dw = np.zeros((k * k * m, n), dtype=x.dtype)
+    for i in range(b):
+        patches = np.ascontiguousarray(cols[i * ho * wo:(i + 1) * ho * wo].T)
+        dw = dw + patches @ dout[i].reshape(n, ho * wo).T
+    dw = dw.reshape(kernel.weights.shape)
     dcols = dymat @ kernel.weights.reshape(k * k * m, n).T
     dcols = dcols.reshape(b, ho, wo, k, k, m).transpose(0, 5, 1, 2, 3, 4)
     dxp = np.zeros((b, m, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -93,6 +106,27 @@ def conv_backward_oracle(dout, x, kernel):
         for kj in range(k):
             dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, :, :, ki, kj]
     return (dxp[:, :, p:p + h, p:p + w] if p else dxp), dw
+
+
+def pointwise_oracle(x, kernel):
+    w, s = kernel.weights, kernel.stride
+    xs = x[:, :, ::s, ::s]
+    b, c, ho, wo = xs.shape
+    return np.matmul(w.T, xs.reshape(b, c, ho * wo)).reshape(b, w.shape[1], ho, wo)
+
+
+def pointwise_backward_oracle(dout, x, kernel):
+    w, s = kernel.weights, kernel.stride
+    xs = x[:, :, ::s, ::s]
+    b, c, ho, wo = xs.shape
+    xr = xs.reshape(b, c, ho * wo)
+    dr = dout.reshape(b, w.shape[1], ho * wo)
+    dw = np.zeros(w.shape, dtype=x.dtype)
+    for i in range(b):
+        dw = dw + xr[i] @ dr[i].T
+    dx = np.zeros_like(x)
+    dx[:, :, ::s, ::s] = np.matmul(w, dr).reshape(b, c, ho, wo)
+    return dx, dw
 
 
 def batchnorm_train_oracle(x, state):
@@ -199,11 +233,26 @@ class TestAgainstOracles:
         rng = np.random.default_rng(m * n + k)
         x = _f32(rng, 32, m, side, side)
         kernel = ConvKernel(_f32(rng, k, k, m, n), stride, k // 2)
-        y = ops.conv2d_spatial(x, kernel)
+        y = ops.conv2d(x, kernel)
         assert np.array_equal(y, conv_oracle(x, kernel))
         dout = _f32(rng, *y.shape)
-        dx, dw = ops.conv2d_spatial_backward(dout, x, kernel)
+        dx, dw = ops.conv2d_backward(dout, x, kernel)
         want_dx, want_dw = conv_backward_oracle(dout, x, kernel)
+        assert np.array_equal(dx, want_dx)
+        assert np.array_equal(dw, want_dw)
+
+    # the 1x1s of shiftresnet20-1 and -3, and a strided one
+    @pytest.mark.parametrize("m,n,stride,side", [(16, 16, 1, 32), (48, 48, 1, 32),
+                                                 (64, 64, 1, 8), (16, 32, 2, 32)])
+    def test_conv2d_pointwise(self, m, n, stride, side):
+        rng = np.random.default_rng(m * n + stride)
+        x = _f32(rng, 32, m, side, side)
+        kernel = ConvKernel(_f32(rng, m, n), stride)
+        y = ops.conv2d(x, kernel)
+        assert np.array_equal(y, pointwise_oracle(x, kernel))
+        dout = _f32(rng, *y.shape)
+        dx, dw = ops.conv2d_backward(dout, x, kernel)
+        want_dx, want_dw = pointwise_backward_oracle(dout, x, kernel)
         assert np.array_equal(dx, want_dx)
         assert np.array_equal(dw, want_dw)
 

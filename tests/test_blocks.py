@@ -170,10 +170,10 @@ class TestBasicBlock:
         block = BasicBlock(4, 4, 1, SeedStream(7), dtype=np.float64)
         x = rng.normal(size=(2, 4, 6, 6))
         got = block.forward(x, "eval")
-        h = ops.conv2d_spatial(x, ConvKernel(block.conv1.weight.value, 1, 1))
+        h = ops.conv2d(x, ConvKernel(block.conv1.weight.value, 1, 1))
         h, _ = ops.batchnorm_forward(h, block.bn1.state, "eval")
         h = ops.relu(h)
-        h = ops.conv2d_spatial(h, ConvKernel(block.conv2.weight.value, 1, 1))
+        h = ops.conv2d(h, ConvKernel(block.conv2.weight.value, 1, 1))
         h, _ = ops.batchnorm_forward(h, block.bn2.state, "eval")
         np.testing.assert_allclose(got, h + x, rtol=1e-12)
 
@@ -198,7 +198,7 @@ class TestStemConv:
         stem = StemConv(3, 8, 3, 1, seed=1, dtype=np.float64)
         x = rng.normal(size=(2, 3, 8, 8))
         got = stem.forward(x, "eval")
-        h = ops.conv2d_spatial(x, ConvKernel(stem.conv.weight.value, 1, 1))
+        h = ops.conv2d(x, ConvKernel(stem.conv.weight.value, 1, 1))
         h, _ = ops.batchnorm_forward(h, stem.bn.state, "eval")
         np.testing.assert_allclose(got, ops.relu(h), rtol=1e-12)
 

@@ -4,8 +4,7 @@ import pytest
 from gradcheck import fd_gradient, max_rel_error
 from shiftnet import ops
 from shiftnet.ops import (BatchNormState, ConvKernel, batchnorm_backward,
-                          batchnorm_forward, conv2d_depthwise,
-                          conv2d_pointwise, conv2d_spatial)
+                          batchnorm_forward, conv2d, conv2d_depthwise)
 
 
 # --- independently coded loop oracles ------------------------------------
@@ -73,7 +72,7 @@ class TestSpatialConv:
     def test_ones_counting(self):
         x = np.ones((1, 1, 3, 3), dtype=np.float32)
         k = ConvKernel(np.ones((3, 3, 1, 1), dtype=np.float32), 1, 1)
-        y = conv2d_spatial(x, k)
+        y = conv2d(x, k)
         assert y[0, 0, 1, 1] == 9.0
         for corner in [(0, 0), (0, 2), (2, 0), (2, 2)]:
             assert y[0, 0][corner] == 4.0
@@ -84,7 +83,7 @@ class TestSpatialConv:
         w = np.zeros((3, 3, 3, 3), dtype=np.float32)
         for m in range(3):
             w[1, 1, m, m] = 1.0
-        y = conv2d_spatial(x, ConvKernel(w, 1, 1))
+        y = conv2d(x, ConvKernel(w, 1, 1))
         assert np.array_equal(y, x)
 
     @pytest.mark.parametrize("stride", [1, 2])
@@ -92,16 +91,16 @@ class TestSpatialConv:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 4, 8, 8))
         w = rng.normal(size=(3, 3, 4, 5))
-        y = conv2d_spatial(x, ConvKernel(w, stride, 1))
+        y = conv2d(x, ConvKernel(w, stride, 1))
         np.testing.assert_allclose(y, spatial_oracle(x, w, stride, 1), rtol=1e-12)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d_spatial(np.zeros((1, 2, 4, 4)), ConvKernel(np.zeros((3, 3, 3, 1)), 1, 1))
+            conv2d(np.zeros((1, 2, 4, 4)), ConvKernel(np.zeros((3, 3, 3, 1)), 1, 1))
 
     def test_nonpositive_output(self):
         with pytest.raises(ValueError, match="output size"):
-            conv2d_spatial(np.zeros((1, 1, 2, 2)), ConvKernel(np.zeros((5, 5, 1, 1)), 1, 0))
+            conv2d(np.zeros((1, 1, 2, 2)), ConvKernel(np.zeros((5, 5, 1, 1)), 1, 0))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -139,7 +138,7 @@ class TestPointwiseConv:
     def test_identity_matrix(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5, 4, 4)).astype(np.float32)
-        y = conv2d_pointwise(x, ConvKernel(np.eye(5, dtype=np.float32), 1))
+        y = conv2d(x, ConvKernel(np.eye(5, dtype=np.float32), 1))
         assert np.array_equal(y, x)
 
     def test_channel_sum(self):
@@ -147,7 +146,7 @@ class TestPointwiseConv:
         x = np.empty((1, 2, 3, 3), dtype=np.float32)
         x[0, 0], x[0, 1] = a, b
         p = np.ones((2, 1), dtype=np.float32)
-        y = conv2d_pointwise(x, ConvKernel(p, 1))
+        y = conv2d(x, ConvKernel(p, 1))
         assert y.shape == (1, 1, 3, 3)
         np.testing.assert_allclose(y, a + b)
 
@@ -155,7 +154,7 @@ class TestPointwiseConv:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 4, 7, 7))
         p = rng.normal(size=(4, 3))
-        y = conv2d_pointwise(x, ConvKernel(p, 2))
+        y = conv2d(x, ConvKernel(p, 2))
         np.testing.assert_allclose(y, pointwise_oracle(x, p, 2), rtol=1e-12)
 
     def test_linearity(self):
@@ -164,13 +163,30 @@ class TestPointwiseConv:
         y = rng.normal(size=(2, 4, 5, 5)).astype(np.float32)
         p = ConvKernel(rng.normal(size=(4, 6)).astype(np.float32), 1)
         alpha, beta = 0.7, -1.3
-        lhs = conv2d_pointwise(alpha * x + beta * y, p)
-        rhs = alpha * conv2d_pointwise(x, p) + beta * conv2d_pointwise(y, p)
+        lhs = conv2d(alpha * x + beta * y, p)
+        rhs = alpha * conv2d(x, p) + beta * conv2d(y, p)
         np.testing.assert_allclose(lhs, rhs, rtol=2e-6, atol=1e-6)
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):
-            conv2d_pointwise(np.zeros((1, 3, 2, 2)), ConvKernel(np.zeros((2, 2)), 1))
+            conv2d(np.zeros((1, 3, 2, 2)), ConvKernel(np.zeros((2, 2)), 1))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matrix_is_the_one_by_one_kernel(self, stride):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(3, 4, 7, 7)).astype(np.float32)
+        p = rng.normal(size=(4, 3)).astype(np.float32)
+        flat, square = ConvKernel(p, stride), ConvKernel(p.reshape(1, 1, 4, 3), stride)
+        y = conv2d(x, flat)
+        assert np.array_equal(y, conv2d(x, square))
+        dout = rng.normal(size=y.shape).astype(np.float32)
+        (dx, dw), (dx4, dw4) = (ops.conv2d_backward(dout, x, k) for k in (flat, square))
+        assert dw.shape == (4, 3) and dw4.shape == (1, 1, 4, 3)
+        assert np.array_equal(dx, dx4) and np.array_equal(dw, dw4[0, 0])
+
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(ValueError, match=r"\(k, k, in, out\) or \(in, out\)"):
+            conv2d(np.zeros((1, 2, 4, 4)), ConvKernel(np.zeros((3, 1, 2, 1)), 1, 1))
 
 
 class TestBatchNorm:
@@ -301,9 +317,9 @@ class TestGradients:
             x = rng.normal(size=(2, 3, 6, 6))
             w = rng.normal(size=(3, 3, 3, 4))
             k = ConvKernel(w, stride, 1)
-            dout = rng.normal(size=conv2d_spatial(x, k).shape)
-            loss = _scalar_loss(lambda: conv2d_spatial(x, k), dout)
-            dx, dw = ops.conv2d_spatial_backward(dout, x, k)
+            dout = rng.normal(size=conv2d(x, k).shape)
+            loss = _scalar_loss(lambda: conv2d(x, k), dout)
+            dx, dw = ops.conv2d_backward(dout, x, k)
             assert max_rel_error(dx, fd_gradient(loss, x)[0]) < 1e-4
             assert max_rel_error(dw, fd_gradient(loss, w)[0]) < 1e-4
 
@@ -324,9 +340,9 @@ class TestGradients:
             x = rng.normal(size=(2, 5, 5, 5))
             w = rng.normal(size=(5, 3))
             k = ConvKernel(w, stride)
-            dout = rng.normal(size=conv2d_pointwise(x, k).shape)
-            loss = _scalar_loss(lambda: conv2d_pointwise(x, k), dout)
-            dx, dw = ops.conv2d_pointwise_backward(dout, x, k)
+            dout = rng.normal(size=conv2d(x, k).shape)
+            loss = _scalar_loss(lambda: conv2d(x, k), dout)
+            dx, dw = ops.conv2d_backward(dout, x, k)
             assert max_rel_error(dx, fd_gradient(loss, x)[0]) < 1e-4
             assert max_rel_error(dw, fd_gradient(loss, w)[0]) < 1e-4
 

@@ -106,8 +106,8 @@ class TestShiftForward:
         w = np.zeros((3, 3, 12, 12), dtype=np.float32)
         for m, (dy, dx) in enumerate(spec.displacements):
             w[1 + dy, 1 + dx, m, m] = 1.0
-        from shiftnet.ops import conv2d_spatial
-        got = conv2d_spatial(x, ConvKernel(w, 1, 1))
+        from shiftnet.ops import conv2d
+        got = conv2d(x, ConvKernel(w, 1, 1))
         assert np.array_equal(got, shift_forward(x, spec))
 
     @pytest.mark.parametrize("seed", range(6))
