@@ -6,7 +6,9 @@ multiply-accumulate count and the memory words each kernel moves (the
 numerator and denominator of the arithmetic-intensity ratios). A shift moves
 2*M*Df^2 words and computes nothing; the fused kernel additionally skips the
 intermediate tensor's write+read round trip. Measured, the fused kernel is
-still the slower one at every block shape tried (see its docstring).
+still the slower one at every block shape tried (see its docstring). A
+`shift` case runs at its `stride` and, like `Shift.cost_entries`, models its
+words at the input plane. `timeit.Timer` takes every sample.
 
 Correctness gates timing: fused and unfused shift+1x1 outputs must agree to
 1e-6 relative before a single measurement is taken. Wall-clock results are
@@ -16,7 +18,7 @@ Modeled numbers are deterministic for a fixed seed; timings are not.
 
 from __future__ import annotations
 
-import time
+import timeit
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,8 @@ KINDS = ("spatial", "depthwise_pointwise", "shift_pointwise", "shift")
 
 @dataclass
 class BenchCase:
+    """One timed layer; a `shift` case reads no `out_channels`, which only labels dims."""
+
     kind: str
     channels: int = 64
     out_channels: int = 64
@@ -104,25 +108,15 @@ def parse_suite(text: str) -> list[BenchCase]:
 
 
 def _time_callable(fn, reps: int, warmup: int) -> tuple[float, float, float]:
-    """Median/p10/p90 nanoseconds per call, auto-scaling the inner loop until
-    one sample exceeds the timer's useful resolution."""
+    """Median/p10/p90 nanoseconds per call over `reps` samples of `inner`
+    calls, `inner` growing 4x until one sample takes at least 0.2 ms (well
+    above the timer's resolution); `timeit` turns GC off during a sample."""
     for _ in range(warmup):
         fn()
-    inner = 1
-    while True:
-        t0 = time.perf_counter_ns()
-        for _ in range(inner):
-            fn()
-        elapsed = time.perf_counter_ns() - t0
-        if elapsed >= 200_000:  # 0.2 ms per sample is comfortably resolvable
-            break
+    timer, inner = timeit.Timer(fn), 1
+    while timer.timeit(inner) < 2e-4:
         inner *= 4
-    samples = []
-    for _ in range(reps):
-        t0 = time.perf_counter_ns()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter_ns() - t0) / inner)
+    samples = [1e9 * t / inner for t in timer.repeat(reps, inner)]
     return (float(np.median(samples)),
             float(np.percentile(samples, 10)),
             float(np.percentile(samples, 90)))
@@ -173,7 +167,7 @@ def run_case(case: BenchCase, seed: int = 0) -> list[BenchRow]:
         add("fused", [pointwise], lambda: fused_shift_pointwise(x, spec, pw))
     elif case.kind == "shift":
         spec = make_shift_spec(m, k)
-        add("shift", [("shift", f, k)], lambda: shift_forward(x, spec))
+        add("shift", [("shift", f, k)], lambda: shift_forward(x, spec, case.stride))
     return rows
 
 

@@ -46,15 +46,12 @@ def in_slices(run, x):
     return np.concatenate([run(x[i:i + EVAL_SLICE]) for i in range(0, len(x), EVAL_SLICE)])
 
 
-ROW_TYPES = ("conv", "csc", "sc2", "basic", "shift", "pool", "fc")
-
-
 @dataclass(frozen=True)
 class ArchRow:
     """One architecture table row; `repeat` expands to that many identical blocks."""
 
     label: str
-    type: str                 # one of ROW_TYPES
+    type: str                 # one of ROW_TYPES (the keys of ROW_KEYS)
     out_channels: int = 0
     repeat: int = 1
     stride: int = 1
@@ -69,7 +66,7 @@ class ArchRow:
         if self.type not in ROW_TYPES:
             raise ValueError(f"type must be one of {', '.join(ROW_TYPES)}; "
                              f"got {self.type!r}")
-        widths = ("out_channels",) if self.type in ("conv", "csc", "sc2", "basic") else ()
+        widths = ("out_channels",) if "out_channels" in ROW_KEYS[self.type] else ()
         for key in widths + ("repeat", "mid_channels", "stride", "dilation", "permutation_id"):
             value, least = getattr(self, key), 0 if key == "permutation_id" else 1
             if value is not None and value < least:
@@ -81,6 +78,11 @@ class ArchRow:
         if not 0 < self.expansion < float("inf"):
             raise ValueError(f"expansion must be finite and positive, "
                              f"got {self.expansion}")
+        read = ROW_KEYS[self.type] + ("label", "type", "repeat")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in read and value != f.default:
+                raise ValueError(f"{self.type} rows do not read {f.name}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,19 @@ class Network(Composite):
             "input_channels": self.input_channels,
             "rows": [_row_to_dict(r) for r in self.rows],
         }
+
+
+# the keys `_make_layer` reads per row type besides label, type and repeat; ArchRow
+# rejects any other key away from its default (dumps write a basic row's kernel and
+# expansion, and a conv row's expansion, at their defaults)
+_BLOCK_KEYS = ("out_channels", "stride", "kernel", "expansion", "dilation", "downsample",
+               "permutation_id")
+ROW_KEYS = {"conv": ("out_channels", "stride", "kernel"),
+            "csc": _BLOCK_KEYS, "sc2": _BLOCK_KEYS,
+            "basic": ("out_channels", "stride", "mid_channels"),
+            "shift": ("stride", "kernel", "dilation", "permutation_id"),
+            "pool": (), "fc": ()}
+ROW_TYPES = tuple(ROW_KEYS)
 
 
 def _make_layer(row: ArchRow, width: int, num_classes: int,
@@ -398,7 +413,7 @@ def _row_to_dict(row: ArchRow) -> dict:
     for key in core + ("dilation", "downsample", "permutation_id", "mid_channels"):
         val = getattr(row, key)
         if val != _ROW_DEFAULTS[key] or \
-                (key in core and row.type in ("conv", "csc", "sc2", "basic")):
+                (key in core and "out_channels" in ROW_KEYS[row.type]):
             d[key] = val
     return d
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftnet import bench
 from shiftnet.bench import (KINDS, BenchCase, default_suite, parse_suite, run_bench,
                             run_case)
+from shiftnet.shift import shift_forward
 
 
 def _quick(kind, **kw):
@@ -45,6 +47,19 @@ class TestModels:
         assert by_variant["fused"].model_words == pointwise_words
         # the shift still moves the whole 32x32 input
         assert by_variant["unfused"].model_words == 2 * 64 * 32 * 32 + pointwise_words
+
+    def test_shift_case_runs_at_its_stride(self, monkeypatch):
+        strides = []
+
+        def spy(x, spec, stride=1):
+            strides.append(stride)
+            return shift_forward(x, spec, stride)
+
+        monkeypatch.setattr(bench, "shift_forward", spy)
+        rows = run_case(_quick("shift", stride=2), seed=0)
+        assert strides and set(strides) == {2}
+        assert rows[0].dims.endswith("_s2")
+        assert rows[0].model_words == 2 * 8 * 8 * 8     # at the input plane
 
     def test_spatial_flops(self):
         rows = run_case(_quick("spatial", channels=4, out_channels=6, feature=8),

@@ -132,6 +132,21 @@ class TestUsageErrors:
         assert code == 1
         assert "error:" in err
 
+    # each row sets a key its type does not read
+    @pytest.mark.parametrize("kind,key,value", [
+        ("basic", "kernel", 5), ("conv", "dilation", 3), ("conv", "expansion", 7),
+        ("csc", "mid_channels", 99), ("pool", "out_channels", 77), ("pool", "stride", 2),
+        ("pool", "kernel", 5), ("fc", "dilation", 4), ("shift", "out_channels", 99),
+        ("shift", "expansion", 3)])
+    def test_unread_row_key_exits_1(self, capsys, tmp_path, kind, key, value):
+        width = "out_channels = 16\n" if kind in ("basic", "conv", "csc") else ""
+        path = tmp_path / "row.cfg"
+        path.write_text("[row0]\nlabel = stem\ntype = conv\nout_channels = 16\n"
+                        f"[row1]\nlabel = g\ntype = {kind}\n{width}{key} = {value}\n")
+        code, out, err = run_cli(capsys, "count", "--arch", str(path))
+        assert (code, out) == (1, "")
+        assert f"section [row1]: {kind} rows do not read {key}; got " in err
+
 
 class TestArchDump:
     def test_dump_round_trips(self, capsys, tmp_path):

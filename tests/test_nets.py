@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from shiftnet import ops
 from shiftnet.accounting import count_params
 from shiftnet.blocks import BasicBlock, Composite, CscBlock, ReLU, Shift
-from shiftnet.nets import (_ROW_DEFAULTS, ROW_TYPES, ArchRow, NetHeader, Network, build_by_name,
-                           build_resnet, build_shiftnet, build_shiftresnet,
+from shiftnet.nets import (_ROW_DEFAULTS, ROW_KEYS, ROW_TYPES, ArchRow, NetHeader, Network,
+                           build_by_name, build_resnet, build_shiftnet, build_shiftresnet,
                            dump_config, parse_config, rebuild, reduce_resnet,
                            scaled_resnet)
 from shiftnet.pipeline import TrainSchedule, synth_dataset, train
@@ -258,12 +258,10 @@ class TestConfigRoundTrip:
 
 
 # valid values, and at most one bad value per case, so that many cases reach
-# the build (widths up to 64, repeat up to 3)
-_FUZZ_ROW = st.fixed_dictionaries({
-    "type": st.sampled_from(ROW_TYPES),
+# the build (widths up to 64, repeat up to 3); a row draws only the keys its
+# type reads, since any other key away from its default is a bad value
+_FUZZ_KEYS = {
     "out_channels": st.sampled_from((8, 16, 32, 64)),
-}, optional={
-    "repeat": st.sampled_from((1, 2, 3)),
     "stride": st.sampled_from((1, 2, 3)),
     "kernel": st.sampled_from((1, 3, 5)),
     "expansion": st.sampled_from(("1", "3", "0.5", "0.01")),
@@ -271,7 +269,18 @@ _FUZZ_ROW = st.fixed_dictionaries({
     "downsample": st.sampled_from(("add", "concat")),
     "permutation_id": st.sampled_from((0, 3)),
     "mid_channels": st.sampled_from((8, 16)),
-})
+}
+
+
+def _fuzz_row(kind):
+    keys = ROW_KEYS[kind]
+    width = {"out_channels": _FUZZ_KEYS["out_channels"]} if "out_channels" in keys else {}
+    return st.fixed_dictionaries({"type": st.just(kind), **width}, optional={
+        "repeat": st.sampled_from((1, 2, 3)),
+        **{key: _FUZZ_KEYS[key] for key in keys if key != "out_channels"}})
+
+
+_FUZZ_ROW = st.one_of(*map(_fuzz_row, ROW_TYPES))
 _FUZZ_NET = st.fixed_dictionaries({}, optional={
     "num_classes": st.sampled_from((10, 3, 0)),
     "input_channels": st.sampled_from((3, 8, 16)),
@@ -281,7 +290,8 @@ _FUZZ_BAD = (("net", "num_classes", -1), ("net", "input_channels", 0), ("net", "
              ("row", "type", "cnv"), ("row", "out_channels", 0), ("row", "repeat", 0),
              ("row", "stride", 0), ("row", "kernel", 4), ("row", "expansion", "nan"),
              ("row", "expansion", "x"), ("row", "dilation", 0), ("row", "downsample", "cat"),
-             ("row", "permutation_id", -1), ("row", "mid_channels", 0), ("row", "widht", 8))
+             ("row", "permutation_id", -1), ("row", "mid_channels", 0), ("row", "widht", 8),
+             ("row", "mid_channels", 99))       # read by basic rows only
 
 
 class TestConfigFuzz:
@@ -364,10 +374,21 @@ class TestArchRowBounds:
          "permutation_id must be at least 0, got -2"),
         (lambda: ArchRow("g", "csc", 16, permutation_id=-1),
          "permutation_id must be at least 0, got -1"),
+        (lambda: ArchRow("g", "basic", 16, kernel=5), "basic rows do not read kernel; got 5"),
+        (lambda: ArchRow("stem", "conv", 8, dilation=3), "conv rows do not read dilation; got 3"),
+        (lambda: ArchRow("g", "sc2", 16, mid_channels=8),
+         "sc2 rows do not read mid_channels; got 8"),
+        (lambda: ArchRow("pool", "pool", out_channels=77),
+         "pool rows do not read out_channels; got 77"),
+        (lambda: ArchRow("s", "shift", expansion=3.0),
+         "shift rows do not read expansion; got 3.0"),
+        (lambda: ArchRow("fc", "fc", downsample="concat"),
+         "fc rows do not read downsample; got 'concat'"),
     ], ids=["conv-width-0", "repeat-0", "pool-repeat-negative", "mid-width-0",
             "type-unknown", "kernel-0", "kernel-even", "stride-0", "dilation-0",
             "downsample-unknown", "expansion-nan", "expansion-inf", "expansion-0",
-            "shift-permutation-negative", "csc-permutation-negative"])
+            "shift-permutation-negative", "csc-permutation-negative", "basic-kernel",
+            "conv-dilation", "sc2-mid-width", "pool-width", "shift-expansion", "fc-downsample"])
     def test_rejected(self, row, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             row()
@@ -375,6 +396,43 @@ class TestArchRowBounds:
     def test_rows_without_width_accepted(self):
         assert _ROW_DEFAULTS["out_channels"] == 0
         assert ArchRow("pool", "pool").out_channels == 0
+
+
+def _leaves(layer):
+    if not isinstance(layer, Composite):
+        return [layer]
+    return [leaf for _, child in layer.children() for leaf in _leaves(child)]
+
+
+class TestRowKeys:
+    # one value away from the default per key, and the keys both builds share
+    # so that the value applies (a stride-1 block keeps its width; concat
+    # needs stride 2 at doubled width)
+    _AWAY = {"out_channels": (64, {"stride": 2}), "stride": (2, {}), "kernel": (5, {}),
+             "expansion": (2.0, {}), "dilation": (2, {}),
+             "downsample": ("concat", {"stride": 2, "out_channels": 64}),
+             "permutation_id": (3, {}), "mid_channels": (8, {})}
+
+    @staticmethod
+    def _built(row):
+        """Cost entries, shift specs and each layer's output shape of stem + row."""
+        net = Network("n", [ArchRow("stem", "conv", 32), row], num_classes=0)
+        specs = [layer.spec for layer in _leaves(net) if isinstance(layer, Shift)]
+        h, shapes = np.zeros((1, 3, 16, 16), np.float32), []
+        for _, layer in net.layers:
+            h = layer.forward(h, "eval")
+            shapes.append(h.shape)
+        return net.cost_entries(16), specs, shapes
+
+    @pytest.mark.parametrize("kind,key", [(kind, key) for kind, keys in ROW_KEYS.items()
+                                          for key in keys])
+    def test_every_listed_key_changes_the_build(self, kind, key):
+        value, shared = self._AWAY[key]
+        base = {"out_channels": 32} if "out_channels" in ROW_KEYS[kind] else {}
+        base.update(shared)
+        assert value != _ROW_DEFAULTS[key] and base.get(key) != value
+        default = self._built(ArchRow("r", kind, **base))
+        assert self._built(ArchRow("r", kind, **{**base, key: value})) != default
 
 
 class TestNetHeaderBounds:
