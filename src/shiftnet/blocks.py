@@ -24,12 +24,12 @@ state_arrays() and cost_entries(name, in_shape).
   owns the one residual pass: the children are the main path and a
   parameter-free shortcut joins its output. A block declares its children
   and two fields derived from its shape, `shortcut` and `concat`.
-* In-place writes: a ReLU overwrites its input, a batch norm's or a shift's
-  fresh output that nothing else reads (BN's backward uses BN's input), and
-  its dout, fresh from the next layer's backward. Blocks add the shortcut
-  into the main path's fresh output and gradient. So blocks and `Network`
-  never write to their `x` or `dout`; the stem, ending in a ReLU,
-  overwrites its dout.
+* In-place writes: a ReLU overwrites its input, the fresh output of a batch
+  norm, a folded eval convolution or a shift that nothing else reads (BN's
+  backward uses BN's input), and its dout, fresh from the next layer's
+  backward. Blocks add the shortcut into the main path's fresh output and
+  gradient. So blocks and `Network` never write to their `x` or `dout`; the
+  stem, ending in a ReLU, overwrites its dout.
 
 The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
@@ -59,8 +59,7 @@ import numpy as np
 from . import ops
 from .accounting import LayerCost
 from .ops import BatchNormState, ConvKernel
-from .shift import (ShiftSpec, make_shift_spec, shift_backward, shift_forward,
-                    zero_vacated)
+from .shift import ShiftSpec, make_shift_spec, shift_backward, shift_forward
 from .tensor import REAL, he_normal
 
 
@@ -101,9 +100,14 @@ def round_half_up(x: float) -> int:
 
 
 def run_layers(layers, x, mode):
-    """Forward x through (name, layer) pairs in order."""
-    for _, layer in layers:
-        x = layer.forward(x, mode)
+    """Forward x through (name, layer) pairs in order; in eval a `Conv` runs
+    with the `BatchNorm` right after it folded in (`Conv.forward`'s `bn`)."""
+    layers, i = [layer for _, layer in layers] + [None], 0
+    while layers[i] is not None:
+        layer, bn = layers[i], layers[i + 1]
+        fold = mode == "eval" and isinstance(layer, Conv) and isinstance(bn, BatchNorm)
+        x = layer.forward(x, mode, bn) if fold else layer.forward(x, mode)
+        i += 1 + fold
     return x
 
 
@@ -200,6 +204,12 @@ class Conv(Layer):
 
     def _kernel(self) -> ConvKernel:
         return ConvKernel(self.weight.value, self.stride, self.padding)
+
+    def forward(self, x, mode, bn=None):
+        """Eval only, with `bn`: this convolution and that batch norm as one product."""
+        if bn is None:
+            return super().forward(x, mode)
+        return ops.conv2d(x, self._kernel(), ops.batchnorm_affine(bn.state, x.dtype))
 
     def run(self, x, mode):
         return ops.conv2d(x, self._kernel()), x
@@ -455,12 +465,8 @@ class CscBlock(Residual):
     output, so it and `pw2` cache the same array and batch norm's output is
     freed as soon as the shift has read it.
 
-    The main path is `pw2` over `mix`, every child before it. In eval, where
-    `bn2` directly precedes a striding shift, `mix` runs it after the shift on
-    only the positions `pw2` reads and resets the vacated positions to +0:
-    eval batch norm is a per-channel affine map, so it commutes with the shift
-    except there, where the declared order holds +0. Train (`bn2`'s batch
-    statistics span the plane) and stride-1 blocks walk `child_names` as declared.
+    The main path is `pw2` over `mix`, every child before it. Eval folds `bn2`
+    into `pw1`; the shift then writes +0 where it vacates, as in declared order.
     The "sc2" variant shifts once more at the very start (child `shift0`).
     Training runs shift and pw2 unfused on purpose: the fused kernel measured
     slower (see `shift.fused_shift_pointwise`).
@@ -491,14 +497,7 @@ class CscBlock(Residual):
 
     def mix(self, x, mode):
         """Every child before `pw2`, the last: the post-shift tensor `pw2` reads."""
-        walk, i = self.children()[:-1], self.child_names.index("shift")
-        if mode != "eval" or self.shift.stride == 1 or self.child_names[i - 1] != "bn2":
-            return run_layers(walk, x, mode)
-        y = run_layers(walk[:i - 1], x, mode)
-        plane = y.shape[2:]
-        y = self.bn2.forward(self.shift.forward(y, mode), mode)
-        zero_vacated(y, self.spec, plane, self.shift.stride)
-        return run_layers(walk[i + 1:], y, mode)
+        return run_layers(self.children()[:-1], x, mode)
 
     def _main(self, x, mode):
         return self.pw2.forward(self.mix(x, mode), mode)

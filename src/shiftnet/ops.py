@@ -2,18 +2,18 @@
 
 One k x k convolution (the 1x1 is k = 1), depthwise convolution, batch
 normalization, ReLU, average pooling, fully-connected and softmax
-cross-entropy. All
-functions are pure in their array arguments, with two exceptions:
-`batchnorm_backward` commits its train forward's batch statistics to the
-BatchNormState running stats, and `relu` and `relu_backward` write into the
-`out=` array, which saves an allocation when the caller owns that array and
-nothing else reads it. All respect the dtype of their inputs, so the same
-code path runs in float32 for training and float64 for finite-difference
-checks.
+cross-entropy. All functions are pure in their array arguments, with two
+exceptions: `batchnorm_backward` commits its train forward's batch
+statistics to the BatchNormState running stats, and `relu` and
+`relu_backward` write into the `out=` array, which saves an allocation when
+the caller owns that array and nothing else reads it. All respect the dtype
+of their inputs, so the same code path runs in float32 for training and
+float64 for finite-difference checks.
 
 Convolution kernels carry no bias: every convolution in this framework is
 followed by a batch norm whose beta subsumes it, and parameter/FLOP counts
-stay the bare products of the kernel dimensions.
+stay the bare products of the kernel dimensions. In eval that batch norm is
+a fixed per-channel map, which `conv2d` takes inside its product (`affine`).
 """
 
 from __future__ import annotations
@@ -82,22 +82,20 @@ def out_size(size: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int):
-    """Unfold k x k patches into (b, k*k*c, ho*wo), rows ordered (ki, kj, channel).
-
-    A 1x1 at stride 1 with no padding reads every position once: `x` itself, reshaped.
-    """
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ones: bool = False):
+    """Unfold k x k patches into (b, k*k*c, ho*wo), rows ordered (ki, kj, channel),
+    plus a last row of ones if `ones`. A plain 1x1 at stride 1 is `x` reshaped."""
     b, c, h, w = x.shape
     ho = out_size(h, k, stride, padding)
     wo = out_size(w, k, stride, padding)
-    if (k, stride, padding) == (1, 1, 0):
+    if (k, stride, padding, ones) == (1, 1, 0, False):
         return x.reshape(b, c, h * w), (ho, wo)
-    xp = _pad(x, padding)
-    cols = np.empty((b, k, k, c, ho, wo), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, ki, kj] = xp[:, :, ki:ki + stride * ho:stride, kj:kj + stride * wo:stride]
-    return cols.reshape(b, k * k * c, ho * wo), (ho, wo)
+    s, xp = stride, _pad(x, padding)
+    cols = np.empty((b, k * k * c + ones, ho, wo), dtype=x.dtype)
+    for t, (i, j) in enumerate(np.ndindex(k, k)):
+        cols[:, t * c:(t + 1) * c] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
+    cols[:, k * k * c:] = 1
+    return cols.reshape(b, -1, ho * wo), (ho, wo)
 
 
 def _side(w: np.ndarray) -> int:
@@ -109,17 +107,22 @@ def _side(w: np.ndarray) -> int:
     return w.shape[0]
 
 
-def conv2d(x: np.ndarray, kernel: ConvKernel) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: ConvKernel, affine=None) -> np.ndarray:
     """Convolution: out[b,n,k,l] = sum_{i,j,m} W[i,j,m,n] x[b,m,k*s+i-pad,l*s+j-pad].
 
     A 2-D (in, out) weight is the 1x1: it mixes channels, and at stride s
-    keeps the positions with k, l = 0 mod s.
+    keeps the positions with k, l = 0 mod s. `affine` = (scale, offset) folds
+    a per-output-channel `out * scale + offset` into the one product: scaled
+    weight columns, and the offsets a last weight row against a row of ones.
     """
     k, (m, n) = _side(kernel.weights), kernel.weights.shape[-2:]
     if x.shape[1] != m:
         raise ValueError(f"channel mismatch: input has {x.shape[1]}, kernel expects {m}")
-    cols, (ho, wo) = _im2col(x, k, kernel.stride, kernel.padding)
-    y = np.matmul(kernel.weights.reshape(-1, n).T, cols)   # (b, n, ho*wo)
+    w = kernel.weights.reshape(-1, n)
+    if affine is not None:
+        w = np.vstack([w * affine[0], affine[1]])
+    cols, (ho, wo) = _im2col(x, k, kernel.stride, kernel.padding, affine is not None)
+    y = np.matmul(w.T, cols)   # (b, n, ho*wo)
     return y.reshape(x.shape[0], n, ho, wo)
 
 
@@ -216,6 +219,20 @@ def batch_moments(s: np.ndarray, q: np.ndarray, n: int):
     return mean, m2 / (n * len(s))
 
 
+def _plane(coef: np.ndarray, shape) -> np.ndarray:
+    """Per-channel coefficients on a contiguous (c, h, w) plane, which numpy streams
+    faster than a (1, c, 1, 1) broadcast, to the same products."""
+    return np.repeat(coef, shape[2] * shape[3]).reshape(shape[1:])
+
+
+def batchnorm_affine(state: BatchNormState, dtype):
+    """Eval batch norm as per-channel (scale, offset) in `dtype`, from the running stats."""
+    mean = state.running_mean.astype(dtype)
+    inv_std = (1.0 / np.sqrt(state.running_var + state.epsilon)).astype(dtype, copy=False)
+    scale = state.gamma * inv_std
+    return scale, state.beta - scale * mean
+
+
 def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
     """Normalize per channel. Returns (y, cache) and writes no argument.
 
@@ -232,18 +249,16 @@ def batchnorm_forward(x: np.ndarray, state: BatchNormState, mode: str):
         rows = x.reshape(b * c, -1)
         s, q = row_sums(rows, rows)
         mean, var = batch_moments(s.reshape(b, c), q.reshape(b, c), rows.shape[1])
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
-    elif mode == "eval":
-        mean = state.running_mean.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+        mean = mean.astype(x.dtype)
+        inv_std = (1.0 / np.sqrt(var + state.epsilon)).astype(x.dtype)
+        scale = state.gamma * inv_std
+        offset = state.beta - scale * mean
+    elif mode == "eval":        # also what a convolution folding this batch norm applies
+        scale, offset = batchnorm_affine(state, x.dtype)
     else:
         raise ValueError(f"unknown batch norm mode {mode!r}")
-    mean = mean.astype(x.dtype, copy=False)
-    inv_std = inv_std.astype(x.dtype, copy=False)
-    scale = state.gamma * inv_std
-    offset = state.beta - scale * mean
-    y = x * scale.reshape(1, -1, 1, 1)
-    y += offset.reshape(1, -1, 1, 1)
+    y = x * _plane(scale, x.shape)
+    y += _plane(offset, x.shape)
     return y, (x, mean, inv_std, var, state) if mode == "train" else None
 
 
@@ -268,9 +283,9 @@ def batchnorm_backward(dout: np.ndarray, cache):
     coef_a = scale
     coef_b = -scale * inv_std * dgamma / n
     coef_c = -coef_a * dbeta / n - coef_b * mean
-    dx = dout * coef_a.reshape(1, -1, 1, 1)
-    dx += x * coef_b.reshape(1, -1, 1, 1)
-    dx += coef_c.reshape(1, -1, 1, 1)
+    dx = dout * _plane(coef_a, x.shape)
+    dx += x * _plane(coef_b, x.shape)
+    dx += _plane(coef_c, x.shape)
     return dx.astype(x.dtype, copy=False), dgamma, dbeta
 
 

@@ -130,23 +130,6 @@ def _spans(spec: ShiftSpec, plane: tuple[int, int], stride: int):
         yield chans, (k0, k1), (l0, l1), src
 
 
-def _vacate(out, chans, rows, cols):
-    """Zero the positions of a group's output outside its source spans."""
-    (k0, k1), (l0, l1) = rows, cols
-    if k0 >= k1 or l0 >= l1:
-        out[:, chans] = 0
-        return
-    out[:, chans, :k0] = out[:, chans, k1:] = 0
-    out[:, chans, :, :l0] = out[:, chans, :, l1:] = 0
-
-
-def zero_vacated(out: np.ndarray, spec: ShiftSpec, plane: tuple[int, int],
-                 stride: int = 1):
-    """Set to +0, in place, where shift_forward of an input `plane` writes zeros."""
-    for chans, rows, cols, _ in _spans(spec, plane, stride):
-        _vacate(out, chans, rows, cols)
-
-
 def _check(x: np.ndarray, spec: ShiftSpec, what: str):
     if x.shape[1] != spec.channels:
         raise ValueError(f"channel mismatch: {what} has {x.shape[1]}, "
@@ -164,10 +147,13 @@ def shift_forward(x: np.ndarray, spec: ShiftSpec, stride: int = 1) -> np.ndarray
     out = np.empty((b, c, out_size(h, 1, stride, 0), out_size(w, 1, stride, 0)),
                    dtype=x.dtype)
     for chans, (k0, k1), (l0, l1), src in _spans(spec, (h, w), stride):
-        if src:
-            out[:, chans, k0:k1, l0:l1] = x[:, chans, src[0], src[1]]
+        if not src:
+            out[:, chans] = 0
+            continue
+        out[:, chans, k0:k1, l0:l1] = x[:, chans, src[0], src[1]]
         # zero only the strips the translation vacated
-        _vacate(out, chans, (k0, k1), (l0, l1))
+        out[:, chans, :k0] = out[:, chans, k1:] = 0
+        out[:, chans, :, :l0] = out[:, chans, :, l1:] = 0
     return out
 
 

@@ -163,28 +163,29 @@ class TestRecording:
 
     def test_records_what_the_second_pointwise_reads(self, trained, monkeypatch):
         """Equal to pw2's input in a full eval forward, and pw2 itself never
-        runs; the strided block's bn2 normalizes only the 16x16 plane pw2 reads."""
+        runs; the strided block's shift writes only the 16x16 plane pw2 reads."""
         net, _ = trained
         ds = synth_dataset(2 * EVAL_SLICE + 1, 10, seed=3)
         block = dict(net.named_blocks())["group2.block0"]
-        seen, bn2_planes = [], []
-        forward, bn2_forward = block.pw2.forward, block.bn2.forward
+        seen, planes = [], []
+        forward, shift_forward = block.pw2.forward, block.shift.forward
 
         def spy(x, mode="train"):
             seen.append(x.transpose(0, 2, 3, 1).reshape(-1, x.shape[1]))
             return forward(x, mode)
 
-        def bn2_spy(x, mode="train"):
-            bn2_planes.append(x.shape[2:])
-            return bn2_forward(x, mode)
+        def shift_spy(x, mode="train"):
+            y = shift_forward(x, mode)
+            planes.append((x.shape[2:], y.shape[2:]))
+            return y
 
         monkeypatch.setattr(block.pw2, "forward", spy)
-        monkeypatch.setattr(block.bn2, "forward", bn2_spy)
+        monkeypatch.setattr(block.shift, "forward", shift_spy)
         for n in (1, EVAL_SLICE + 1, 2 * EVAL_SLICE + 1):
             trace = record_activations(net, ds, "group2.block0", max_images=n)
             assert seen == [], n
-            assert set(bn2_planes) == {(16, 16)}, n
-            bn2_planes.clear()
+            assert set(planes) == {((32, 32), (16, 16))}, n
+            planes.clear()
             net.forward(ds.batch(np.arange(n))[0], "eval")
             assert np.array_equal(trace.samples, np.concatenate(seen)), n
             assert trace.samples.min() >= 0
