@@ -27,9 +27,10 @@ state_arrays() and cost_entries(name, in_shape).
 * In-place writes: a ReLU overwrites its input, the fresh output of a batch
   norm, a folded eval convolution or a shift that nothing else reads (BN's
   backward uses BN's input), and its dout, fresh from the next layer's
-  backward. Blocks add the shortcut into the main path's fresh output and
-  gradient. So blocks and `Network` never write to their `x` or `dout`; the
-  stem, ending in a ReLU, overwrites its dout.
+  backward. In eval a ReLU before a folded convolution writes nothing: it
+  runs in that convolution's input copy. Blocks add the shortcut into the
+  main path's fresh output and gradient. So blocks and `Network` never write
+  to their `x` or `dout`; the stem, ending in a ReLU, overwrites its dout.
 
 The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
@@ -100,14 +101,18 @@ def round_half_up(x: float) -> int:
 
 
 def run_layers(layers, x, mode):
-    """Forward x through (name, layer) pairs in order; in eval a `Conv` runs
-    with the `BatchNorm` right after it folded in (`Conv.forward`'s `bn`)."""
-    layers, i = [layer for _, layer in layers] + [None], 0
+    """Forward x through (name, layer) pairs in order. In eval a `Conv` runs with
+    the `BatchNorm` right after it folded in (`Conv.forward`'s `bn`), and a `ReLU`
+    right before such a `Conv` runs in that convolution's input copy instead."""
+    layers, i = [layer for _, layer in layers] + [None, None], 0
+    fold = [mode == "eval" and isinstance(a, Conv) and isinstance(b, BatchNorm)
+            for a, b in zip(layers, layers[1:])]
     while layers[i] is not None:
+        rectify = isinstance(layers[i], ReLU) and fold[i + 1]
+        i += rectify
         layer, bn = layers[i], layers[i + 1]
-        fold = mode == "eval" and isinstance(layer, Conv) and isinstance(bn, BatchNorm)
-        x = layer.forward(x, mode, bn) if fold else layer.forward(x, mode)
-        i += 1 + fold
+        x = layer.forward(x, mode, bn, rectify) if fold[i] else layer.forward(x, mode)
+        i += 1 + fold[i]
     return x
 
 
@@ -205,11 +210,13 @@ class Conv(Layer):
     def _kernel(self) -> ConvKernel:
         return ConvKernel(self.weight.value, self.stride, self.padding)
 
-    def forward(self, x, mode, bn=None):
-        """Eval only, with `bn`: this convolution and that batch norm as one product."""
+    def forward(self, x, mode, bn=None, rectify=False):
+        """Eval only, with `bn`: this convolution and that batch norm as one
+        product, of relu(x) if `rectify`, taken in the product's own input copy."""
         if bn is None:
             return super().forward(x, mode)
-        return ops.conv2d(x, self._kernel(), ops.batchnorm_affine(bn.state, x.dtype))
+        return ops.conv2d(x, self._kernel(), ops.batchnorm_affine(bn.state, x.dtype),
+                          rectify)
 
     def run(self, x, mode):
         return ops.conv2d(x, self._kernel()), x
@@ -466,7 +473,8 @@ class CscBlock(Residual):
     freed as soon as the shift has read it.
 
     The main path is `pw2` over `mix`, every child before it. Eval folds `bn2`
-    into `pw1`; the shift then writes +0 where it vacates, as in declared order.
+    into `pw1`, and `relu1` into `pw1`'s input copy; the shift then writes +0
+    where it vacates, as in declared order.
     The "sc2" variant shifts once more at the very start (child `shift0`).
     Training runs shift and pw2 unfused on purpose: the fused kernel measured
     slower (see `shift.fused_shift_pointwise`).

@@ -67,10 +67,17 @@ class BatchNormState:
         )
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+def _copy(src: np.ndarray, dst: np.ndarray, rectify: bool):
+    return relu(src, out=dst) if rectify else np.copyto(dst, src)
+
+
+def _pad(x: np.ndarray, padding: int, rectify: bool = False) -> np.ndarray:
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    b, c, h, w = x.shape
+    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    _copy(x, xp[:, :, padding:padding + h, padding:padding + w], rectify)
+    return xp
 
 
 def out_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -82,18 +89,21 @@ def out_size(size: int, k: int, stride: int, padding: int) -> int:
     return out
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ones: bool = False):
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ones: bool = False,
+            rectify: bool = False):
     """Unfold k x k patches into (b, k*k*c, ho*wo), rows ordered (ki, kj, channel),
-    plus a last row of ones if `ones`. A plain 1x1 at stride 1 is `x` reshaped."""
+    plus a last row of ones if `ones`. A plain 1x1 at stride 1 is `x` reshaped.
+    With `rectify` the first copy of `x` (padded, or else the patches) is relu(x)."""
     b, c, h, w = x.shape
     ho = out_size(h, k, stride, padding)
     wo = out_size(w, k, stride, padding)
-    if (k, stride, padding, ones) == (1, 1, 0, False):
+    if (k, stride, padding, ones, rectify) == (1, 1, 0, False, False):
         return x.reshape(b, c, h * w), (ho, wo)
-    s, xp = stride, _pad(x, padding)
+    s, xp = stride, _pad(x, padding, rectify)
     cols = np.empty((b, k * k * c + ones, ho, wo), dtype=x.dtype)
     for t, (i, j) in enumerate(np.ndindex(k, k)):
-        cols[:, t * c:(t + 1) * c] = xp[:, :, i:i + s * ho:s, j:j + s * wo:s]
+        _copy(xp[:, :, i:i + s * ho:s, j:j + s * wo:s], cols[:, t * c:(t + 1) * c],
+              rectify and not padding)
     cols[:, k * k * c:] = 1
     return cols.reshape(b, -1, ho * wo), (ho, wo)
 
@@ -107,13 +117,14 @@ def _side(w: np.ndarray) -> int:
     return w.shape[0]
 
 
-def conv2d(x: np.ndarray, kernel: ConvKernel, affine=None) -> np.ndarray:
+def conv2d(x: np.ndarray, kernel: ConvKernel, affine=None, rectify=False) -> np.ndarray:
     """Convolution: out[b,n,k,l] = sum_{i,j,m} W[i,j,m,n] x[b,m,k*s+i-pad,l*s+j-pad].
 
     A 2-D (in, out) weight is the 1x1: it mixes channels, and at stride s
     keeps the positions with k, l = 0 mod s. `affine` = (scale, offset) folds
     a per-output-channel `out * scale + offset` into the one product: scaled
     weight columns, and the offsets a last weight row against a row of ones.
+    `rectify` convolves relu(x), taken in `_im2col`'s copy; `x` is not written.
     """
     k, (m, n) = _side(kernel.weights), kernel.weights.shape[-2:]
     if x.shape[1] != m:
@@ -121,7 +132,7 @@ def conv2d(x: np.ndarray, kernel: ConvKernel, affine=None) -> np.ndarray:
     w = kernel.weights.reshape(-1, n)
     if affine is not None:
         w = np.vstack([w * affine[0], affine[1]])
-    cols, (ho, wo) = _im2col(x, k, kernel.stride, kernel.padding, affine is not None)
+    cols, (ho, wo) = _im2col(x, k, kernel.stride, kernel.padding, affine is not None, rectify)
     y = np.matmul(w.T, cols)   # (b, n, ho*wo)
     return y.reshape(x.shape[0], n, ho, wo)
 

@@ -140,12 +140,29 @@ def shift_forward(x: np.ndarray, spec: ShiftSpec, stride: int = 1) -> np.ndarray
     """Translate each channel by its displacement; vacated positions read zero.
 
     out[b, m, k, l] = x[b, m, s*k + dy_m, s*l + dx_m]: at stride s only the
-    positions a stride-s 1x1 reads. Strided copies within each channel plane.
+    positions a stride-s 1x1 reads. At stride 1 a source is dy*w + dx along the
+    flat h*w plane: a group is one flat copy, then +0 over the end it left and
+    the column strip where rows wrapped (a 2-D window pays per row: 8 floats at
+    8x8). At stride s > 1 each group copies a strided window, zeroes 4 strips.
     """
     _check(x, spec, "input")
     b, c, h, w = x.shape
     out = np.empty((b, c, out_size(h, 1, stride, 0), out_size(w, 1, stride, 0)),
                    dtype=x.dtype)
+    if stride == 1:
+        xf, of, n = x.reshape(b, c, h * w), out.reshape(b, c, h * w), h * w
+        for (dy, dx), chans in spec.groups:
+            if abs(dy) >= h or abs(dx) >= w:
+                of[:, chans] = 0
+                continue
+            o = dy * w + dx
+            lo, hi = max(0, -o), n - max(0, o)
+            of[:, chans, lo:hi] = xf[:, chans, lo + o:hi + o]
+            if o:
+                of[:, chans, slice(hi, n) if o > 0 else slice(0, lo)] = 0
+            if dx:
+                out[:, chans, :, slice(w - dx, w) if dx > 0 else slice(0, -dx)] = 0
+        return out
     for chans, (k0, k1), (l0, l1), src in _spans(spec, (h, w), stride):
         if not src:
             out[:, chans] = 0

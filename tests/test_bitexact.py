@@ -44,6 +44,9 @@ copy of the same block, within `EVAL_RTOL` of the largest output (or of 1),
 on every block of the compat builders, on single strided blocks and on the
 residual cases, with batch norms that send 0 elsewhere. The positions a
 shift vacates must still read exactly +0 in what the second 1x1 reads.
+Within eval, the ReLU before a folded convolution runs in that
+convolution's input copy; that must give the bits of the walk that runs
+each ReLU on its own.
 """
 
 import os
@@ -51,8 +54,9 @@ import os
 import numpy as np
 import pytest
 
-from shiftnet import ops
-from shiftnet.blocks import BasicBlock, Composite, CscBlock, CscConfig, SeedStream
+from shiftnet import blocks, nets, ops
+from shiftnet.blocks import (BasicBlock, BatchNorm, Composite, Conv, CscBlock, CscConfig,
+                             SeedStream)
 from shiftnet.nets import build_resnet, build_shiftresnet, rebuild, reduce_resnet
 from shiftnet.ops import BatchNormState, ConvKernel
 from shiftnet.pipeline import _standardize_stats, load_cifar10, write_cifar10_batches
@@ -636,3 +640,67 @@ class TestNoWritesToInputs:
     def test_network(self, name):
         x = _f32(np.random.default_rng(5), 2, 3, 32, 32)
         _assert_leaves_inputs_alone(NETS[name](), x)
+
+
+def run_layers_relu_apart(layers, x, mode):
+    """`blocks.run_layers` before the ReLU fold: in eval a `Conv` folds the
+    `BatchNorm` right after it, and every `ReLU` runs its own forward."""
+    layers, i = [layer for _, layer in layers] + [None], 0
+    while layers[i] is not None:
+        layer, bn = layers[i], layers[i + 1]
+        fold = mode == "eval" and isinstance(layer, Conv) and isinstance(bn, BatchNorm)
+        x = layer.forward(x, mode, bn) if fold else layer.forward(x, mode)
+        i += 1 + fold
+    return x
+
+
+def _relu1s(net):
+    """The ReLU of every block that sits right before a folded convolution."""
+    return [b.relu1 for _, b in net.layers if isinstance(b, (CscBlock, BasicBlock))]
+
+
+class TestReluFold:
+    """In eval a ReLU right before a convolution that folds a batch norm runs
+    inside that convolution's input copy. Same ufunc on the same values, so
+    eval matches the walk that runs each ReLU on its own, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_eval_matches_relu_apart(self, name, monkeypatch):
+        net = BUILDERS[name]()
+        rng = np.random.default_rng(14)
+        _random_bn(net, rng)
+        xs = [_f32(rng, n, 3, 32, 32) for n in (1, 16, 17, 33)]
+        got = [net.forward(x, "eval") for x in xs]
+        monkeypatch.setattr(blocks, "run_layers", run_layers_relu_apart)
+        monkeypatch.setattr(nets, "run_layers", run_layers_relu_apart)
+        for x, y in zip(xs, got):
+            assert _bits(y) == _bits(net.forward(x, "eval")), len(x)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_folded_relu_runs_only_in_train(self, name):
+        net = BUILDERS[name]()
+        relus = _relu1s(net)
+        assert relus
+        calls = []
+        for relu in relus:
+            def spy(x, mode, run=relu.forward):
+                calls.append(mode)
+                return run(x, mode)
+            relu.forward = spy
+        x = _f32(np.random.default_rng(15), 2, 3, 32, 32)
+        net.forward(x, "eval")
+        assert calls == []
+        net.forward(x, "train")
+        assert calls == ["train"] * len(relus)
+
+    @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_folded_conv_writes_nothing_into_its_input(self, k, stride):
+        rng = np.random.default_rng(16)
+        conv, bn = Conv(6, 5, k, stride, seed=3), BatchNorm(5)
+        _random_bn(bn, rng)
+        x = _f32(rng, 3, 6, 7, 7)
+        x.flat[:4] = [-0.0, np.inf, -np.inf, np.nan]
+        given = x.copy()
+        got = conv.forward(x, "eval", bn, True)
+        assert _bits(x) == _bits(given)
+        assert _bits(got) == _bits(conv.forward(ops.relu(given), "eval", bn))

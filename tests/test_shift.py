@@ -236,6 +236,47 @@ class TestStridedShift:
         assert shift_backward(d, spec, 2, (7, 8)).shape == (1, 9, 7, 8)
 
 
+def shift_by_definition(x, spec):
+    """out[b, m, k, l] = x[b, m, k + dy_m, l + dx_m] where that lies on the
+    plane, else +0, taken one channel at a time over every position."""
+    _, _, h, w = x.shape
+    out = np.zeros_like(x)
+    k, l = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    for m, (dy, dx) in enumerate(spec.displacements):
+        sk, sl = k + dy, l + dx
+        on = (sk >= 0) & (sk < h) & (sl >= 0) & (sl < w)
+        out[:, m][:, on] = x[:, m][:, sk[on], sl[on]]
+    return out
+
+
+FLAT_PLANES = [(side, side) for side in range(1, 10)] + [(1, 5), (9, 7)]
+
+
+class TestFlatMover:
+    """At stride 1 each group is one copy over the flattened plane, then +0
+    over the flat end and the column strip where rows wrapped. It must write
+    what the per-position definition writes, bit for bit, on every plane a
+    window can cover or overrun: dilated displacements at least as long as a
+    side vacate the whole group."""
+
+    @pytest.mark.parametrize("plane", FLAT_PLANES)
+    @pytest.mark.parametrize("k", (1, 3, 5, 7))
+    def test_matches_the_definition(self, plane, k):
+        rng = np.random.default_rng(k * 100 + plane[0] * 10 + plane[1])
+        for dilation in (1, 2, 3):
+            for perm in (0, 3):
+                spec = make_shift_spec(2 * k * k + 3, k, dilation, perm)
+                x = rng.normal(size=(2, spec.channels) + plane).astype(np.float32)
+                # values a copy must move unchanged: signed zeros, infinities, nan
+                x.flat[rng.choice(x.size, 8, replace=False)] = \
+                    [-0.0, np.inf, -np.inf, np.nan, -0.0, np.nan, np.inf, -0.0]
+                got = shift_forward(x, spec)
+                want = shift_by_definition(x, spec)
+                assert got.shape == want.shape
+                assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes(), \
+                    (dilation, perm)
+
+
 class TestFusedKernel:
     def test_identity_noop(self):
         rng = np.random.default_rng(5)
