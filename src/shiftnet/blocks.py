@@ -27,10 +27,10 @@ state_arrays() and cost_entries(name, in_shape).
 * In-place writes: a ReLU overwrites its input, the fresh output of a batch
   norm, a folded eval convolution or a shift that nothing else reads (BN's
   backward uses BN's input), and its dout, fresh from the next layer's
-  backward. In eval a ReLU before a folded convolution writes nothing: it
-  runs in that convolution's input copy. Blocks add the shortcut into the
-  main path's fresh output and gradient. So blocks and `Network` never write
-  to their `x` or `dout`; the stem, ending in a ReLU, overwrites its dout.
+  backward. In eval a ReLU before a folded 1x1 writes nothing: it runs in
+  that 1x1's input copy. Blocks add the shortcut into the main path's fresh
+  output and gradient. So blocks and `Network` never write to their `x` or
+  `dout`; the stem, ending in a ReLU, overwrites its dout.
 
 The composites are the shift-based conv-shift-conv module (optionally with a
 leading extra shift for a wider receptive field) and the plain two-conv
@@ -103,12 +103,14 @@ def round_half_up(x: float) -> int:
 def run_layers(layers, x, mode):
     """Forward x through (name, layer) pairs in order. In eval a `Conv` runs with
     the `BatchNorm` right after it folded in (`Conv.forward`'s `bn`), and a `ReLU`
-    right before such a `Conv` runs in that convolution's input copy instead."""
+    right before such a `Conv` of kernel size 1 runs in that 1x1's ones-row copy
+    instead (into a k x k's padded copy it measured no gain)."""
     layers, i = [layer for _, layer in layers] + [None, None], 0
     fold = [mode == "eval" and isinstance(a, Conv) and isinstance(b, BatchNorm)
             for a, b in zip(layers, layers[1:])]
     while layers[i] is not None:
-        rectify = isinstance(layers[i], ReLU) and fold[i + 1]
+        rectify = (isinstance(layers[i], ReLU) and fold[i + 1]
+                   and layers[i + 1].kernel_size == 1)
         i += rectify
         layer, bn = layers[i], layers[i + 1]
         x = layer.forward(x, mode, bn, rectify) if fold[i] else layer.forward(x, mode)

@@ -67,17 +67,10 @@ class BatchNormState:
         )
 
 
-def _copy(src: np.ndarray, dst: np.ndarray, rectify: bool):
-    return relu(src, out=dst) if rectify else np.copyto(dst, src)
-
-
-def _pad(x: np.ndarray, padding: int, rectify: bool = False) -> np.ndarray:
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
-    b, c, h, w = x.shape
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-    _copy(x, xp[:, :, padding:padding + h, padding:padding + w], rectify)
-    return xp
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
 def out_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -93,17 +86,17 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ones: bool = False
             rectify: bool = False):
     """Unfold k x k patches into (b, k*k*c, ho*wo), rows ordered (ki, kj, channel),
     plus a last row of ones if `ones`. A plain 1x1 at stride 1 is `x` reshaped.
-    With `rectify` the first copy of `x` (padded, or else the patches) is relu(x)."""
+    With `rectify` each patch copy is relu(x); eval folds it only into a 1x1."""
     b, c, h, w = x.shape
     ho = out_size(h, k, stride, padding)
     wo = out_size(w, k, stride, padding)
     if (k, stride, padding, ones, rectify) == (1, 1, 0, False, False):
         return x.reshape(b, c, h * w), (ho, wo)
-    s, xp = stride, _pad(x, padding, rectify)
+    s, xp = stride, _pad(x, padding)
     cols = np.empty((b, k * k * c + ones, ho, wo), dtype=x.dtype)
     for t, (i, j) in enumerate(np.ndindex(k, k)):
-        _copy(xp[:, :, i:i + s * ho:s, j:j + s * wo:s], cols[:, t * c:(t + 1) * c],
-              rectify and not padding)
+        patch, dst = xp[:, :, i:i + s * ho:s, j:j + s * wo:s], cols[:, t * c:(t + 1) * c]
+        relu(patch, out=dst) if rectify else np.copyto(dst, patch)
     cols[:, k * k * c:] = 1
     return cols.reshape(b, -1, ho * wo), (ho, wo)
 

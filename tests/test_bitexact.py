@@ -44,9 +44,8 @@ copy of the same block, within `EVAL_RTOL` of the largest output (or of 1),
 on every block of the compat builders, on single strided blocks and on the
 residual cases, with batch norms that send 0 elsewhere. The positions a
 shift vacates must still read exactly +0 in what the second 1x1 reads.
-Within eval, the ReLU before a folded convolution runs in that
-convolution's input copy; that must give the bits of the walk that runs
-each ReLU on its own.
+Within eval, the ReLU before a folded 1x1 runs in that 1x1's input copy;
+that must give the bits of the walk that runs each ReLU on its own.
 """
 
 import os
@@ -655,14 +654,16 @@ def run_layers_relu_apart(layers, x, mode):
 
 
 def _relu1s(net):
-    """The ReLU of every block that sits right before a folded convolution."""
-    return [b.relu1 for _, b in net.layers if isinstance(b, (CscBlock, BasicBlock))]
+    """Each block's `relu1`, and whether eval folds it: a CscBlock's sits right
+    before the 1x1 `pw1`, a BasicBlock's before the 3x3 `conv2`, which runs it apart."""
+    return [(b.relu1, isinstance(b, CscBlock)) for _, b in net.layers
+            if isinstance(b, (CscBlock, BasicBlock))]
 
 
 class TestReluFold:
-    """In eval a ReLU right before a convolution that folds a batch norm runs
-    inside that convolution's input copy. Same ufunc on the same values, so
-    eval matches the walk that runs each ReLU on its own, bit for bit."""
+    """In eval a ReLU right before a 1x1 that folds a batch norm runs inside
+    that 1x1's input copy. Same ufunc on the same values, so eval matches
+    the walk that runs each ReLU on its own, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_eval_matches_relu_apart(self, name, monkeypatch):
@@ -682,16 +683,17 @@ class TestReluFold:
         relus = _relu1s(net)
         assert relus
         calls = []
-        for relu in relus:
-            def spy(x, mode, run=relu.forward):
-                calls.append(mode)
+        for relu, folded in relus:
+            def spy(x, mode, run=relu.forward, folded=folded):
+                calls.append((mode, folded))
                 return run(x, mode)
             relu.forward = spy
         x = _f32(np.random.default_rng(15), 2, 3, 32, 32)
         net.forward(x, "eval")
-        assert calls == []
+        assert calls == [("eval", False) for _, folded in relus if not folded]
+        calls.clear()
         net.forward(x, "train")
-        assert calls == ["train"] * len(relus)
+        assert calls == [("train", folded) for _, folded in relus]
 
     @pytest.mark.parametrize("k,stride", [(1, 1), (1, 2), (3, 1), (3, 2)])
     def test_folded_conv_writes_nothing_into_its_input(self, k, stride):

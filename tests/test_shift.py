@@ -288,6 +288,9 @@ class TestFusedKernel:
     @pytest.mark.parametrize("m,n,f,k,stride", [
         (16, 8, 8, 3, 1), (18, 7, 9, 3, 2), (25, 12, 7, 5, 2),
         (9, 4, 5, 3, 2), (32, 32, 11, 3, 1),
+        # windows that reach past the plane: kernel 7 on a side-3 plane
+        # vacates every group that moves
+        (98, 32, 3, 7, 1), (98, 32, 9, 7, 1), (50, 32, 3, 5, 1), (50, 32, 7, 5, 1),
     ])
     def test_matches_two_step_composition(self, m, n, f, k, stride):
         rng = np.random.default_rng(m * 100 + n)
